@@ -11,7 +11,7 @@ from .analytic import (
     laplace_ul,
     success_profiles,
 )
-from .channel import Direction, GainPattern, LinkBudget, LinkType
+from .channel import Direction, GainPattern, LinkType
 from .data import DataBundle, load_mnist, synthetic_blobs
 from .fl import (
     AggregatorKind,
@@ -48,7 +48,6 @@ __all__ = [
     "Direction",
     "ENVIRONMENT_PRESETS",
     "GainPattern",
-    "LinkBudget",
     "LinkType",
     "Model",
     "ModelState",

@@ -1,4 +1,8 @@
-"""Air-to-ground channel: LOS classification, antenna gains, fading, SINR."""
+"""Air-to-ground channel model: LOS probability, antenna gain pattern, Nakagami CCDFs.
+
+Sampling interference and deciding link success lives in
+:mod:`aerialfl.montecarlo`.
+"""
 from __future__ import annotations
 
 import enum
@@ -7,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Topology
 from .params import NetworkParams
 
 
@@ -90,13 +93,6 @@ def build_gain_pattern(params: NetworkParams) -> GainPattern:
     return GainPattern(gains=gains, probs=probs)
 
 
-def sample_nakagami_power(m: int, rng: np.random.Generator, size=None):
-    """Unit-mean Nakagami-m power gain: Gamma(shape=m, scale=1/m)."""
-    if not isinstance(m, int) or m < 1:
-        raise ValueError("Nakagami m must be a positive integer")
-    return rng.gamma(shape=m, scale=1.0 / m, size=size)
-
-
 def gamma_ccdf_exact(m: int, x):
     """P[X > x] for X ~ Gamma(m, 1/m), via the finite Erlang series."""
     if not isinstance(m, int) or m < 1:
@@ -130,97 +126,3 @@ def gamma_ccdf_alzer(m: int, eta: float, x):
         raise ValueError("x must be non-negative")
     out = 1.0 - (1.0 - np.exp(-eta * x)) ** m
     return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """Everything needed to evaluate the received power of one link."""
-
-    tx_power: float
-    gain: float
-    fading_power: float
-    distance_3d_sq: float
-    link_type: LinkType
-    alpha: float
-
-    def __post_init__(self):
-        if min(self.tx_power, self.gain, self.distance_3d_sq, self.alpha) <= 0:
-            raise ValueError("tx power, gain, squared distance and alpha must be positive")
-        if self.fading_power < 0:
-            raise ValueError("fading power must be non-negative")
-
-    @property
-    def received_power(self) -> float:
-        return (
-            self.tx_power
-            * self.gain
-            * self.fading_power
-            * self.distance_3d_sq ** (-self.alpha / 2.0)
-        )
-
-
-def compute_sinr(desired: LinkBudget, interference: float, n0_sq: float) -> float:
-    """Linear SINR of the desired link against interference plus noise."""
-    if interference < 0 or n0_sq < 0:
-        raise ValueError("interference and noise must be non-negative")
-    if not (math.isfinite(interference) and math.isfinite(n0_sq)):
-        raise ValueError("interference and noise must be finite")
-    return desired.received_power / (interference + n0_sq)
-
-
-def interference_power(
-    distances: np.ndarray,
-    tx_power: float,
-    params: NetworkParams,
-    pattern: GainPattern,
-    rng: np.random.Generator,
-) -> float:
-    """Aggregate interference from transmitters at the given horizontal distances.
-
-    Each transmitter independently draws its LOS class (at its own distance),
-    a gain level from ``pattern``, and a unit-mean Nakagami power for the
-    class it drew.
-    """
-    n = distances.size
-    if n == 0:
-        return 0.0
-    p_los = los_probability(distances, params.height, params.env_a, params.env_b)
-    is_los = rng.random(n) < p_los
-    gains = rng.choice(pattern.gains, size=n, p=pattern.probs)
-    fading = np.empty(n)
-    n_los = int(is_los.sum())
-    if n_los:
-        fading[is_los] = sample_nakagami_power(params.m_los, rng, size=n_los)
-    if n - n_los:
-        fading[~is_los] = sample_nakagami_power(params.m_nlos, rng, size=n - n_los)
-    alpha = np.where(is_los, params.alpha_los, params.alpha_nlos)
-    d3sq = distances**2 + params.height**2
-    return float(np.sum(tx_power * gains * fading * d3sq ** (-alpha / 2.0)))
-
-
-def sample_interference(
-    topology: Topology,
-    params: NetworkParams,
-    direction: Direction,
-    rng: np.random.Generator,
-) -> float:
-    """One interference realization (W) at the typical cluster, per direction.
-
-    Downlink: every interfering cluster head transmits at ``p_uav``. Uplink:
-    one active device per interfering cluster (uniformly re-picked) transmits
-    at ``p_device``. Distances are measured from the origin.
-    """
-    pattern = build_gain_pattern(params)
-    if topology.n_interferers == 0:
-        return 0.0
-    if direction is Direction.DL:
-        distances = np.linalg.norm(topology.uav_positions[1:], axis=1)
-        tx_power = params.p_uav
-    else:
-        picks = rng.integers(params.n_devices, size=topology.n_interferers)
-        points = np.array(
-            [topology.clusters[i + 1][picks[i]] for i in range(topology.n_interferers)]
-        )
-        distances = np.linalg.norm(points, axis=1)
-        tx_power = params.p_device
-    return interference_power(distances, tx_power, params, pattern, rng)

@@ -460,7 +460,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
         args.config, args, command="validate",
         default_sweep=(45.0, 120.0), sweep_name="height",
     )
-    trials = cfg.trials if cfg.trials > 0 else 5000
+    if cfg.trials == 0:
+        raise SystemExit("validate compares against Monte-Carlo oracles; --trials must be positive")
+    trials = cfg.trials
     failures = 0
     r_k = 50.0
     transforms = {"dl": laplace_dl, "ul": laplace_ul}

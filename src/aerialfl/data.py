@@ -63,10 +63,19 @@ def _open_binary(path: Path):
     return open(path, "rb")
 
 
+def _read_header(fh, path, fmt: str) -> tuple[int, ...]:
+    """Unpack the big-endian IDX header ``fmt``; short files raise ValueError."""
+    size = struct.calcsize(fmt)
+    head = fh.read(size)
+    if len(head) != size:
+        raise ValueError(f"{path}: truncated header")
+    return struct.unpack(fmt, head)
+
+
 def read_idx_images(path) -> np.ndarray:
     """Images from an IDX3 file as floats in [0, 1], one row per image."""
     with _open_binary(Path(path)) as fh:
-        magic, count, rows, cols = struct.unpack(">IIII", fh.read(16))
+        magic, count, rows, cols = _read_header(fh, path, ">IIII")
         if magic != IMAGES_MAGIC:
             raise ValueError(f"{path}: bad images magic 0x{magic:08x}")
         raw = fh.read(count * rows * cols)
@@ -79,7 +88,7 @@ def read_idx_images(path) -> np.ndarray:
 def read_idx_labels(path) -> np.ndarray:
     """Labels from an IDX1 file as int64."""
     with _open_binary(Path(path)) as fh:
-        magic, count = struct.unpack(">II", fh.read(8))
+        magic, count = _read_header(fh, path, ">II")
         if magic != LABELS_MAGIC:
             raise ValueError(f"{path}: bad labels magic 0x{magic:08x}")
         raw = fh.read(count)

@@ -115,7 +115,8 @@ class TrainConfig:
 
     ``epochs`` is the number of local passes each device makes between
     synchronizations, ``eta0`` the initial SGD step size, decayed as
-    ``eta0 / (1 + lr_decay * t)`` at round ``t``.
+    ``eta0 / (1 + lr_decay * (t - 1))`` at round ``t``, so round 1 runs at
+    ``eta0``.
     """
 
     epochs: int = 2

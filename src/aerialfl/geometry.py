@@ -105,38 +105,29 @@ class Topology:
 
     ``uav_positions[0]`` is the typical cluster head, pinned to the origin;
     the remaining rows are the interfering heads from the PPP sample.
-    ``clusters[i]`` holds the device positions of head ``i`` and
-    ``serving_distances`` the horizontal device-to-head distances of the
-    typical cluster.
+    ``serving_distances`` holds the horizontal device-to-head distances of
+    the typical cluster's devices.
     """
 
     uav_positions: np.ndarray
-    clusters: list[np.ndarray]
     serving_distances: np.ndarray
 
     def __post_init__(self):
-        if self.uav_positions.shape[0] != len(self.clusters):
-            raise ValueError("one device cluster required per cluster head")
         if not np.allclose(self.uav_positions[0], 0.0):
             raise ValueError("typical cluster head must sit at the origin")
 
-    @property
-    def n_interferers(self) -> int:
-        return self.uav_positions.shape[0] - 1
-
 
 def sample_topology(params: NetworkParams, rng: np.random.Generator) -> Topology:
-    """Sample a full network realization on the simulation window.
+    """Sample a network realization on the simulation window.
 
     The typical head is placed at the origin deterministically; interfering
-    heads follow the PPP on the window disk. Every head gets an independent
-    uniform-disk cluster of ``params.n_devices`` devices.
+    heads follow the PPP on the window disk. Only the typical cluster's
+    ``params.n_devices`` devices are placed (uniform on its disk): the
+    interference field re-samples its transmitters every round.
     """
     interferers = sample_ppp(params.lam, params.window_radius, rng)
     positions = np.vstack((np.zeros((1, 2)), interferers))
-    clusters = [
-        sample_cluster(positions[i], params.n_devices, params.cluster_radius, rng)
-        for i in range(positions.shape[0])
-    ]
-    serving = np.linalg.norm(clusters[0], axis=1)
-    return Topology(uav_positions=positions, clusters=clusters, serving_distances=serving)
+    devices = sample_cluster(positions[0], params.n_devices, params.cluster_radius, rng)
+    return Topology(
+        uav_positions=positions, serving_distances=np.linalg.norm(devices, axis=1)
+    )

@@ -19,10 +19,6 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    return np.exp(_log_softmax(logits))
-
-
 @dataclass(frozen=True)
 class Model:
     """A differentiable classifier over flat parameters."""

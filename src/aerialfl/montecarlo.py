@@ -1,8 +1,11 @@
-"""Monte-Carlo estimation of coverage and per-round channel outcomes.
+"""The channel engine: interference sampling and per-link SINR decisions.
 
-Serves two roles: a brute-force oracle for the analytic coverage
-expressions, and the channel engine that the federated-learning loop uses
-to decide which device updates survive each round.
+This is the only code that samples interference fields and decides whether
+a link clears its SINR threshold. It serves two roles: the per-round channel
+(:func:`realize_round`) that decides which device updates survive in the
+federated-learning loop, and the brute-force oracles
+(:func:`estimate_coverage`, :func:`laplace_oracle`) that the analytic
+coverage expressions are validated against.
 
 Trials are vectorized in batches; each batch consumes its own child stream
 spawned from the caller's generator, so a run split across workers merges
@@ -107,6 +110,12 @@ class RoundChannel:
         return self.dl_success & self.ul_success
 
 
+def _draw_los(dist: np.ndarray, params: NetworkParams, rng: np.random.Generator):
+    """Independent LOS classes for links at horizontal distances ``dist``."""
+    p_los = los_probability(dist, params.height, params.env_a, params.env_b)
+    return rng.random(dist.size) < p_los
+
+
 def _interferer_field(
     parent_radii: np.ndarray,
     owner: np.ndarray,
@@ -140,8 +149,7 @@ def _interferer_field(
         dist = np.sqrt(np.maximum(dist_sq, 0.0))
     else:
         dist = parent_radii
-    p_los = los_probability(dist, params.height, params.env_a, params.env_b)
-    is_los = rng.random(n) < p_los
+    is_los = _draw_los(dist, params, rng)
     gains = rng.choice(pattern.gains, size=n, p=pattern.probs)
     fading = np.empty(n)
     n_los = int(is_los.sum())
@@ -166,38 +174,53 @@ def _parent_radii(
     return radii, owner
 
 
+def _link_success(
+    r: np.ndarray,
+    serving_los: np.ndarray,
+    radii: np.ndarray,
+    owner: np.ndarray,
+    params: NetworkParams,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each device's DL broadcast and UL update clear their thresholds.
+
+    ``r`` and ``serving_los`` are the devices' serving distances and LOS
+    classes; ``radii`` and ``owner`` are the interfering cluster centers of
+    every device (see :func:`_interferer_field`). Draws the DL field, the
+    UL field, then the DL and the UL desired-link fading, in that order.
+    """
+    n = r.size
+    pattern = build_gain_pattern(params)
+    alpha = np.where(serving_los, params.alpha_los, params.alpha_nlos)
+    m = np.where(serving_los, params.m_los, params.m_nlos)
+    path = (r**2 + params.height**2) ** (-alpha / 2.0)
+    i_dl = _interferer_field(
+        radii, owner, n, params.p_uav, params, pattern, rng,
+        device_offset=False,
+    )
+    i_ul = _interferer_field(
+        radii, owner, n, params.p_device, params, pattern, rng,
+        device_offset=True,
+    )
+    fading_dl = rng.standard_gamma(m) / m
+    fading_ul = rng.standard_gamma(m) / m
+    sinr_dl = params.p_uav * params.g0 * fading_dl * path / (
+        i_dl + params.noise_power
+    )
+    sinr_ul = params.p_device * params.g0 * fading_ul * path / (
+        i_ul + params.noise_power
+    )
+    return sinr_dl > params.tau_dl, sinr_ul > params.tau_ul
+
+
 def _coverage_batch(
     params: NetworkParams, n_trials: int, rng: np.random.Generator
 ) -> tuple[int, int, int]:
     """Counts of (joint, dl, ul) successes over one vectorized batch."""
-    pattern = build_gain_pattern(params)
     r = params.cluster_radius * np.sqrt(rng.random(n_trials))
-    p_los = los_probability(r, params.height, params.env_a, params.env_b)
-    serving_los = rng.random(n_trials) < p_los
-    alpha = np.where(serving_los, params.alpha_los, params.alpha_nlos)
-    m = np.where(serving_los, params.m_los, params.m_nlos)
-    path = (r**2 + params.height**2) ** (-alpha / 2.0)
-
-    def desired_fading() -> np.ndarray:
-        return rng.standard_gamma(m) / m
-
+    serving_los = _draw_los(r, params, rng)
     radii, owner = _parent_radii(n_trials, params, rng)
-    i_dl = _interferer_field(
-        radii, owner, n_trials, params.p_uav, params, pattern, rng,
-        device_offset=False,
-    )
-    i_ul = _interferer_field(
-        radii, owner, n_trials, params.p_device, params, pattern, rng,
-        device_offset=True,
-    )
-    sinr_dl = params.p_uav * params.g0 * desired_fading() * path / (
-        i_dl + params.noise_power
-    )
-    sinr_ul = params.p_device * params.g0 * desired_fading() * path / (
-        i_ul + params.noise_power
-    )
-    dl_ok = sinr_dl > params.tau_dl
-    ul_ok = sinr_ul > params.tau_ul
+    dl_ok, ul_ok = _link_success(r, serving_los, radii, owner, params, rng)
     return int((dl_ok & ul_ok).sum()), int(dl_ok.sum()), int(ul_ok.sum())
 
 
@@ -294,40 +317,18 @@ def realize_round(
     """
     schedule = np.asarray(schedule, dtype=int)
     n = schedule.size
-    n_devices = topology.clusters[0].shape[0]
+    n_devices = topology.serving_distances.size
     if n == 0 or np.any(schedule < 0) or np.any(schedule >= n_devices):
         raise ValueError("schedule must index devices of the typical cluster")
-    pattern = build_gain_pattern(params)
     r = topology.serving_distances[schedule]
-    p_los = los_probability(r, params.height, params.env_a, params.env_b)
-    serving_los = rng.random(n) < p_los
-    alpha = np.where(serving_los, params.alpha_los, params.alpha_nlos)
-    m = np.where(serving_los, params.m_los, params.m_nlos)
-    path = (r**2 + params.height**2) ** (-alpha / 2.0)
-
+    serving_los = _draw_los(r, params, rng)
     interferer_q = np.linalg.norm(topology.uav_positions[1:], axis=1)
-    k = interferer_q.size
     radii = np.tile(interferer_q, n)
-    owner = np.repeat(np.arange(n), k)
-    i_dl = _interferer_field(
-        radii, owner, n, params.p_uav, params, pattern, rng,
-        device_offset=False,
-    )
-    i_ul = _interferer_field(
-        radii, owner, n, params.p_device, params, pattern, rng,
-        device_offset=True,
-    )
-    fading_dl = rng.standard_gamma(m) / m
-    fading_ul = rng.standard_gamma(m) / m
-    sinr_dl = params.p_uav * params.g0 * fading_dl * path / (
-        i_dl + params.noise_power
-    )
-    sinr_ul = params.p_device * params.g0 * fading_ul * path / (
-        i_ul + params.noise_power
-    )
+    owner = np.repeat(np.arange(n), interferer_q.size)
+    dl_ok, ul_ok = _link_success(r, serving_los, radii, owner, params, rng)
     return RoundChannel(
         device_ids=schedule.copy(),
-        dl_success=sinr_dl > params.tau_dl,
-        ul_success=sinr_ul > params.tau_ul,
+        dl_success=dl_ok,
+        ul_success=ul_ok,
         serving_distances=r.copy(),
     )

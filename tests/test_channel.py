@@ -1,4 +1,4 @@
-"""Unit tests for the propagation layer: LOS model, gains, fading, SINR."""
+"""Unit tests for the propagation layer: LOS model, gains, fading CCDFs."""
 
 import math
 
@@ -8,20 +8,16 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aerialfl import Direction, LinkType, NetworkParams, db_to_linear, eta
+from aerialfl import LinkType, db_to_linear, eta
 from aerialfl.channel import (
-    LinkBudget,
+    GainPattern,
     build_gain_pattern,
-    compute_sinr,
     gamma_ccdf_alzer,
     gamma_ccdf_exact,
-    interference_power,
     link_params,
     los_probability,
-    sample_interference,
-    sample_nakagami_power,
 )
-from aerialfl.geometry import sample_topology
+from aerialfl.montecarlo import _interferer_field
 
 
 def test_link_params(table_params):
@@ -65,21 +61,25 @@ def test_worked_link_budget_example(table_params):
     # Both antennas on side lobes: G = -1 dB - 3 dB = 10^-0.4.
     gain = table_params.gain_side_uav * table_params.gain_side_device
     assert gain == pytest.approx(db_to_linear(-4.0), rel=1e-12)
-    budget = LinkBudget(
-        tx_power=table_params.p_uav,
-        gain=gain,
-        fading_power=1.0,
-        distance_3d_sq=100.0**2 + 120.0**2,
-        link_type=LinkType.LOS,
-        alpha=table_params.alpha_los,
+    assert build_gain_pattern(table_params).gains[3] == pytest.approx(
+        db_to_linear(-4.0), rel=1e-12
     )
-    expected = 0.25 * db_to_linear(-4.0) * (100.0**2 + 120.0**2) ** (-1.05)
-    assert budget.received_power == pytest.approx(expected, rel=1e-12)
 
 
-def test_nakagami_moments(rng):
+def test_nakagami_moments(table_params, rng):
+    # The interferer fading of the channel engine is unit-mean Nakagami-m
+    # power. env_a = 0 makes every link LOS and a flat gain pattern removes
+    # the antenna draw, so each owner's field is P * fading * d^-alpha.
+    unit_gain = GainPattern(gains=np.ones(4), probs=np.full(4, 0.25))
+    n = 200_000
     for m in (1, 3):
-        samples = sample_nakagami_power(m, rng, size=200_000)
+        params = table_params.with_(env_a=0.0, m_los=m)
+        field = _interferer_field(
+            np.full(n, 300.0), np.arange(n), n, params.p_uav, params,
+            unit_gain, rng, device_offset=False,
+        )
+        path = (300.0**2 + params.height**2) ** (-params.alpha_los / 2.0)
+        samples = field / (params.p_uav * path)
         assert samples.mean() == pytest.approx(1.0, abs=0.02)
         assert samples.var() == pytest.approx(1.0 / m, rel=0.05)
 
@@ -105,49 +105,6 @@ def test_alzer_bound_properties():
     approx = gamma_ccdf_alzer(3, eta(3), x)
     exact = gamma_ccdf_exact(3, x)
     assert np.max(np.abs(approx - exact)) < 0.06
-
-
-def test_compute_sinr_arithmetic(table_params):
-    budget = LinkBudget(
-        tx_power=1.0, gain=2.0, fading_power=0.5, distance_3d_sq=100.0,
-        link_type=LinkType.NLOS, alpha=4.0,
-    )
-    assert budget.received_power == pytest.approx(1e-4, rel=1e-12)
-    assert compute_sinr(budget, 1e-4, 1e-4) == pytest.approx(0.5, rel=1e-12)
-    with pytest.raises(ValueError):
-        compute_sinr(budget, -1.0, 0.0)
-
-
-def test_interference_power_empty_and_mean(table_params, rng):
-    pattern = build_gain_pattern(table_params)
-    assert interference_power(np.array([]), 1.0, table_params, pattern, rng) == 0.0
-    # Monte-Carlo mean against the analytic first moment at fixed distances:
-    # E[I] = P * E[G] * sum_i E_class[d_i^(-alpha)] (unit-mean fading).
-    distances = np.array([200.0, 500.0, 900.0])
-    p_los = los_probability(
-        distances, table_params.height, table_params.env_a, table_params.env_b
-    )
-    d3sq = distances**2 + table_params.height**2
-    per = p_los * d3sq ** (-table_params.alpha_los / 2) + (1 - p_los) * d3sq ** (
-        -table_params.alpha_nlos / 2
-    )
-    expected = table_params.p_uav * pattern.mean_gain * per.sum()
-    draws = np.array([
-        interference_power(distances, table_params.p_uav, table_params, pattern, rng)
-        for _ in range(4000)
-    ])
-    se = draws.std() / math.sqrt(draws.size)
-    assert abs(draws.mean() - expected) < 5 * se
-
-
-def test_sample_interference_directions(table_params, rng):
-    params = table_params.with_(
-        n_devices=4, n_resource_blocks=3, sim_window_radius=800.0
-    )
-    topology = sample_topology(params, rng)
-    for direction in (Direction.DL, Direction.UL):
-        value = sample_interference(topology, params, direction, rng)
-        assert value >= 0.0 and math.isfinite(value)
 
 
 @given(st.integers(1, 5), st.floats(0.0, 10.0))

@@ -172,6 +172,14 @@ def test_config_errors_exit_with_code_two(tmp_path):
     assert main(["coverage", "--config", str(config)]) == 2
 
 
+def test_validate_rejects_zero_trials(tmp_path, capfd):
+    # ``validate`` has no analytic-only mode; zero trials must not silently
+    # fall back to some other count.
+    with pytest.raises(SystemExit, match="trials must be positive"):
+        main(["validate", "--trials", "0", "--out", str(tmp_path / "out")])
+    assert capfd.readouterr().out == ""
+
+
 def test_validate_smoke_passes(tmp_path, capfd):
     config = _write_config(
         tmp_path / "cfg.yaml",

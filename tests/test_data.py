@@ -81,6 +81,13 @@ def test_idx_rejects_truncated_payload(tmp_path, toy_pixels):
     lab.write_bytes(_idx_labels_bytes(np.arange(9, dtype=np.uint8))[:-2])
     with pytest.raises(ValueError, match="truncated"):
         read_idx_labels(lab)
+    # A file shorter than its header names the path instead of escaping as
+    # struct.error.
+    stub = tmp_path / "stub"
+    stub.write_bytes(blob[:3])
+    for reader in (read_idx_images, read_idx_labels):
+        with pytest.raises(ValueError, match="stub: truncated header"):
+            reader(stub)
 
 
 def test_load_mnist_reads_the_four_standard_files(tmp_path, rng):

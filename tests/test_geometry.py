@@ -87,12 +87,9 @@ def test_topology_pins_typical_head_to_origin(rng):
     params = NetworkParams(n_devices=5, n_resource_blocks=4)
     topology = sample_topology(params, rng)
     assert np.allclose(topology.uav_positions[0], 0.0)
-    assert topology.n_interferers == topology.uav_positions.shape[0] - 1
-    assert len(topology.clusters) == topology.uav_positions.shape[0]
+    assert topology.uav_positions.ndim == 2 and topology.uav_positions.shape[1] == 2
     assert topology.serving_distances.shape == (5,)
-    np.testing.assert_allclose(
-        topology.serving_distances, np.linalg.norm(topology.clusters[0], axis=1)
-    )
+    assert np.all(topology.serving_distances >= 0.0)
     assert np.all(topology.serving_distances <= params.cluster_radius + 1e-9)
 
 
@@ -100,9 +97,23 @@ def test_topology_rejects_off_origin_head():
     with pytest.raises(ValueError):
         Topology(
             uav_positions=np.array([[1.0, 0.0]]),
-            clusters=[np.zeros((3, 2))],
             serving_distances=np.zeros(3),
         )
+
+
+def test_serving_distances_are_the_draw_after_the_ppp():
+    # The typical cluster is drawn straight after the PPP on the topology's
+    # stream, so its serving distances do not depend on whether any other
+    # cluster is sampled afterwards.
+    params = NetworkParams(n_devices=6, n_resource_blocks=5)
+    topology = sample_topology(params, np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    heads = sample_ppp(params.lam, params.window_radius, rng)
+    devices = sample_cluster(np.zeros(2), params.n_devices, params.cluster_radius, rng)
+    np.testing.assert_array_equal(topology.uav_positions[1:], heads)
+    np.testing.assert_array_equal(
+        topology.serving_distances, np.linalg.norm(devices, axis=1)
+    )
 
 
 def test_sample_topology_is_deterministic():

@@ -8,11 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aerialfl.analytic import laplace_arguments, laplace_ul
-from aerialfl.channel import Direction, LinkType
+from aerialfl.channel import Direction, LinkType, build_gain_pattern, los_probability
 from aerialfl.geometry import sample_topology
+from aerialfl.params import db_to_linear
 from aerialfl.montecarlo import (
     CoverageEstimate,
     RoundChannel,
+    _interferer_field,
+    _link_success,
+    _parent_radii,
     binomial_half_width,
     estimate_coverage,
     laplace_oracle,
@@ -77,6 +81,87 @@ def test_coverage_estimate_merge_pools_frequencies():
     same = a.merge(a)
     assert same.p_joint == pytest.approx(a.p_joint)
     assert same.trials == 2 * a.trials
+
+
+def test_interferer_field_empty_and_mean(table_params, rng):
+    pattern = build_gain_pattern(table_params)
+    empty = _interferer_field(
+        np.array([]), np.array([], dtype=int), 5, 1.0, table_params, pattern,
+        rng, device_offset=False,
+    )
+    np.testing.assert_array_equal(empty, np.zeros(5))
+    # Monte-Carlo mean against the analytic first moment at fixed distances:
+    # E[I] = P * E[G] * sum_i E_class[d_i^(-alpha)] (unit-mean fading).
+    distances = np.array([200.0, 500.0, 900.0])
+    p_los = los_probability(
+        distances, table_params.height, table_params.env_a, table_params.env_b
+    )
+    d3sq = distances**2 + table_params.height**2
+    per = p_los * d3sq ** (-table_params.alpha_los / 2) + (1 - p_los) * d3sq ** (
+        -table_params.alpha_nlos / 2
+    )
+    expected = table_params.p_uav * pattern.mean_gain * per.sum()
+    owners = 4000
+    draws = _interferer_field(
+        np.tile(distances, owners), np.repeat(np.arange(owners), distances.size),
+        owners, table_params.p_uav, table_params, pattern, rng,
+        device_offset=False,
+    )
+    se = draws.std() / math.sqrt(draws.size)
+    assert abs(draws.mean() - expected) < 5 * se
+
+
+def test_interferer_field_both_directions_finite(table_params, rng):
+    params = table_params.with_(sim_window_radius=800.0)
+    pattern = build_gain_pattern(params)
+    radii, owner = _parent_radii(50, params, rng)
+    for offset in (False, True):
+        field = _interferer_field(
+            radii, owner, 50, params.p_device, params, pattern, rng,
+            device_offset=offset,
+        )
+        assert field.shape == (50,)
+        assert np.all(np.isfinite(field)) and np.all(field >= 0.0)
+
+
+def test_link_success_sinr_arithmetic(table_params):
+    """Replays the documented draw order with the SINR written out by hand."""
+    # Thresholds near the median SINR of each direction here, so about half
+    # the links succeed and a wrong power or threshold shows.
+    params = table_params.with_(
+        sim_window_radius=600.0, tau_dl=db_to_linear(7.0), tau_ul=db_to_linear(5.0)
+    )
+    r = np.linspace(1.0, 99.0, 64)
+    serving_los = np.arange(64) % 3 > 0
+    radii, owner = _parent_radii(r.size, params, np.random.default_rng(1))
+    dl_ok, ul_ok = _link_success(
+        r, serving_los, radii, owner, params, np.random.default_rng(2)
+    )
+    rng = np.random.default_rng(2)
+    pattern = build_gain_pattern(params)
+    fields = [
+        _interferer_field(radii, owner, r.size, power, params, pattern, rng,
+                          device_offset=offset)
+        for power, offset in ((params.p_uav, False), (params.p_device, True))
+    ]
+    m = np.where(serving_los, params.m_los, params.m_nlos)
+    alpha = np.where(serving_los, params.alpha_los, params.alpha_nlos)
+    d_alpha = (r**2 + params.height**2) ** (-alpha / 2.0)
+    for ok, power, tau, field in zip(
+        (dl_ok, ul_ok), (params.p_uav, params.p_device),
+        (params.tau_dl, params.tau_ul), fields,
+    ):
+        fading = rng.standard_gamma(m) / m
+        sinr = power * params.g0 * fading * d_alpha / (field + params.noise_power)
+        assert 0.25 < ok.mean() < 0.75
+        np.testing.assert_array_equal(ok, sinr > tau)
+    # Thresholds of zero admit every link; an unreachable one admits none.
+    lax = params.with_(tau_dl=0.0, tau_ul=0.0)
+    dl_ok, ul_ok = _link_success(r, serving_los, radii, owner, lax, rng)
+    assert dl_ok.all() and ul_ok.all()
+    strict = params.with_(tau_dl=1e30, tau_ul=1e30)
+    dl_ok, ul_ok = _link_success(r, serving_los, radii, owner, strict, rng)
+    assert not dl_ok.any() and not ul_ok.any()
 
 
 def test_estimate_coverage_is_deterministic(table_params):
