@@ -30,7 +30,6 @@ __all__ = [
     "eta",
     "laplace_dl",
     "laplace_ul",
-    "laplace_tail_exponent",
     "o_e_inner",
     "joint_success_probability",
     "cluster_average_success",
@@ -42,8 +41,7 @@ __all__ = [
 # heavy q^(1-alpha_los) tail, so this cut is a genuine modeling choice, not
 # a numerical convenience: it was calibrated against reference coverage
 # curves, and the Monte-Carlo window default matches it so both estimators
-# see the same interference field. laplace_tail_exponent reports what the
-# cut leaves out.
+# see the same interference field.
 TRUNCATION_SCALE = 10.0
 
 
@@ -396,34 +394,6 @@ def laplace_ul(
     return float(out[0]) if scalar else out
 
 
-def laplace_tail_exponent(
-    s: float, params: NetworkParams, truncation_radius: float, tx_power: float
-) -> float:
-    """Upper bound on the exponent mass dropped by truncating at ``T``.
-
-    Uses 1 - E_G[(1+x*G/m)^(-m)] <= x*E[G] and a worst-case in-cluster
-    offset of R, giving, per link class z,
-    2*pi*lam * s*P*E[G] * w_z(T) * ((T-R)^2+h^2)^(1-alpha_z/2) / (alpha_z-2)
-    with w_L = P_L(T-R) and w_N = 1. exp(-bound) brackets the truncated
-    transform against the untruncated one from below.
-    """
-    if truncation_radius <= params.cluster_radius:
-        raise ValueError("truncation radius must exceed the cluster radius")
-    pattern = build_gain_pattern(params)
-    shifted = truncation_radius - params.cluster_radius
-    d_sq = shifted**2 + params.height**2
-    p_l = float(
-        los_probability(shifted, params.height, params.env_a, params.env_b)
-    )
-    total = 0.0
-    for weight, alpha in (
-        (p_l, params.alpha_los),
-        (1.0, params.alpha_nlos),
-    ):
-        total += weight * d_sq ** (1.0 - alpha / 2.0) / (alpha - 2.0)
-    return 2.0 * math.pi * params.lam * s * tx_power * pattern.mean_gain * total
-
-
 @dataclass(frozen=True)
 class SuccessProfile:
     """Joint and per-link success probabilities at one serving distance."""
@@ -535,6 +505,26 @@ def _success_factors(
     return out
 
 
+def _mixed_success(r_arr: np.ndarray, params: NetworkParams, quad: QuadratureSpec):
+    """LOS probability and the mixed success arrays at each serving distance.
+
+    Returns (p_los, j_joint, j_los, j_nlos, j_dl, j_ul): the per-class joint
+    factors are DL x UL products, and the joint and per-link values mix the
+    classes with the serving link's LOS probability.
+    """
+    f_dl = _success_factors(r_arr, params, quad, "dl")
+    f_ul = _success_factors(r_arr, params, quad, "ul")
+    p_los = np.atleast_1d(
+        los_probability(r_arr, params.height, params.env_a, params.env_b)
+    )
+    j_los = f_dl[LinkType.LOS] * f_ul[LinkType.LOS]
+    j_nlos = f_dl[LinkType.NLOS] * f_ul[LinkType.NLOS]
+    j_joint = p_los * j_los + (1.0 - p_los) * j_nlos
+    j_dl = p_los * f_dl[LinkType.LOS] + (1.0 - p_los) * f_dl[LinkType.NLOS]
+    j_ul = p_los * f_ul[LinkType.LOS] + (1.0 - p_los) * f_ul[LinkType.NLOS]
+    return p_los, j_joint, j_los, j_nlos, j_dl, j_ul
+
+
 def success_profiles(
     r_values, params: NetworkParams, quad: QuadratureSpec | None = None
 ) -> list[SuccessProfile]:
@@ -552,20 +542,12 @@ def success_profiles(
         np.isfinite(r_arr)
     ):
         raise ValueError("serving distances must lie in [0, cluster_radius]")
-    f_dl = _success_factors(r_arr, params, quad, "dl")
-    f_ul = _success_factors(r_arr, params, quad, "ul")
-    p_los = np.atleast_1d(
-        los_probability(r_arr, params.height, params.env_a, params.env_b)
-    )
-    j_los = f_dl[LinkType.LOS] * f_ul[LinkType.LOS]
-    j_nlos = f_dl[LinkType.NLOS] * f_ul[LinkType.NLOS]
-    j_dl = p_los * f_dl[LinkType.LOS] + (1.0 - p_los) * f_dl[LinkType.NLOS]
-    j_ul = p_los * f_ul[LinkType.LOS] + (1.0 - p_los) * f_ul[LinkType.NLOS]
+    p_los, j_joint, j_los, j_nlos, j_dl, j_ul = _mixed_success(r_arr, params, quad)
     q_k = params.scheduling_probability
     return [
         SuccessProfile(
             r_k=float(r_arr[i]),
-            j_joint=float(p_los[i] * j_los[i] + (1.0 - p_los[i]) * j_nlos[i]),
+            j_joint=float(j_joint[i]),
             j_los=float(j_los[i]),
             j_nlos=float(j_nlos[i]),
             j_dl=float(j_dl[i]),
@@ -605,19 +587,12 @@ def cluster_average_success(
     x, w = np.polynomial.legendre.leggauss(n_nodes)
     r_arr = 0.5 * radius * (x + 1.0)
     weights = 0.5 * radius * w * (2.0 * r_arr / radius**2)
-    f_dl = _success_factors(r_arr, params, quad, "dl")
-    f_ul = _success_factors(r_arr, params, quad, "ul")
-    p_los = los_probability(r_arr, params.height, params.env_a, params.env_b)
-    j_los = f_dl[LinkType.LOS] * f_ul[LinkType.LOS]
-    j_nlos = f_dl[LinkType.NLOS] * f_ul[LinkType.NLOS]
-    j_joint = p_los * j_los + (1.0 - p_los) * j_nlos
-    j_dl = p_los * f_dl[LinkType.LOS] + (1.0 - p_los) * f_dl[LinkType.NLOS]
-    j_ul = p_los * f_ul[LinkType.LOS] + (1.0 - p_los) * f_ul[LinkType.NLOS]
-    clip = lambda v: float(np.clip(v, 0.0, 1.0))
+    _, j_joint, j_los, j_nlos, j_dl, j_ul = _mixed_success(r_arr, params, quad)
+    clip = lambda v: float(np.clip(weights @ v, 0.0, 1.0))
     return AverageSuccess(
-        j_joint=clip(weights @ j_joint),
-        j_los=clip(weights @ j_los),
-        j_nlos=clip(weights @ j_nlos),
-        j_dl=clip(weights @ j_dl),
-        j_ul=clip(weights @ j_ul),
+        j_joint=clip(j_joint),
+        j_los=clip(j_los),
+        j_nlos=clip(j_nlos),
+        j_dl=clip(j_dl),
+        j_ul=clip(j_ul),
     )

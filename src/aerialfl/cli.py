@@ -10,12 +10,16 @@ Subcommands map one-to-one onto the experiments:
 - ``validate``     closed-form Laplace transforms and coverage against
                    Monte-Carlo oracles
 
+The four training subcommands share one runner, :func:`cmd_training`; each
+supplies only its grid points and the rows one trained aggregator yields.
+
 Configs are YAML files whose sections mirror the dataclasses
-(``network:``, ``quad:``, ``train:``, plus top-level keys); command-line
-flags override file values.  Every CSV begins with ``#`` metadata lines
-carrying the resolved-config hash and the seed, and contains no timestamps,
-so rerunning an identical config produces identical bytes.  The default
-output directory is taken from ``AERIALFL_OUT`` when set.
+(``network:``, ``quad:``, ``train:``, plus top-level keys); an unknown key
+is an error, and command-line flags override file values.  ``trials``
+applies to ``coverage`` and ``validate`` only.  Every CSV begins with ``#``
+metadata lines carrying the resolved-config hash and the seed, and contains
+no timestamps, so rerunning an identical config produces identical bytes.
+The default output directory is taken from ``AERIALFL_OUT`` when set.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -43,53 +46,44 @@ from .analytic import (
 )
 from .channel import LinkType
 from .data import DataBundle, load_mnist, synthetic_blobs
-from .fl import AggregatorKind, TrainConfig, train
+from .fl import AggregatorKind, TrainConfig, TrainResult, train
 from .montecarlo import binomial_half_width, estimate_coverage, laplace_oracle
 from .params import ENVIRONMENT_PRESETS, NetworkParams
 
 __all__ = [
-    "EnvironmentPreset",
     "ExperimentConfig",
     "OUTPUT_DIR_ENV",
     "build_parser",
-    "environment_presets",
     "main",
 ]
 
 OUTPUT_DIR_ENV = "AERIALFL_OUT"
 
-#: Default sweep axes per subcommand.
-COVERAGE_HEIGHTS = tuple(float(h) for h in range(20, 150, 5))
-TRAINING_HEIGHTS = (25.0, 50.0, 120.0)
-ENV_HEIGHTS = (25.0, 120.0)
-EPOCH_VALUES = (1, 2, 3, 5, 10)
+#: Swept quantity and its default values, per subcommand.
+SWEEPS: dict[str, tuple[str, tuple]] = {
+    "coverage": ("height", tuple(float(h) for h in range(20, 150, 5))),
+    "train": ("none", ()),
+    "sweep-e": ("epochs", (1, 2, 3, 5, 10)),
+    "sweep-height": ("height", (25.0, 50.0, 120.0)),
+    "env-compare": ("height", (25.0, 120.0)),
+    "validate": ("height", (45.0, 120.0)),
+}
+
+#: Monte-Carlo trials when neither the config nor ``--trials`` sets them.
+DEFAULT_TRIALS = 5000
+
+#: Top-level config keys; the sections hold dataclass fields.
+CONFIG_KEYS = frozenset({
+    "network", "quad", "train", "sweep", "trials", "seed", "out", "dataset",
+    "mnist_dir", "aggregators", "n_train", "n_test", "dataset_seed",
+})
+SWEEP_KEYS = frozenset({"name", "values"})
 
 #: Training subcommands default to a small cluster that keeps q_k = M/N at
 #: its full-scale value while finishing in minutes; ``coverage`` and
 #: ``validate`` keep the full-scale network defaults.
 DESK_SCALE_NETWORK = {"n_devices": 20, "n_resource_blocks": 18}
 DESK_SCALE_SAMPLES = {"n_train": 10_000, "n_test": 2_000}
-
-
-@dataclass(frozen=True)
-class EnvironmentPreset:
-    """Named (a, b) constant pair of the LOS-probability model."""
-
-    name: str
-    a: float
-    b: float
-
-    def __post_init__(self) -> None:
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("environment constants must be positive")
-
-
-def environment_presets() -> list[EnvironmentPreset]:
-    """All shipped LOS environment presets, in a fixed order."""
-    return [
-        EnvironmentPreset(name=k, a=a, b=b)
-        for k, (a, b) in ENVIRONMENT_PRESETS.items()
-    ]
 
 
 @dataclass(frozen=True)
@@ -110,15 +104,12 @@ class ExperimentConfig:
     n_train: int
     n_test: int
     dataset_seed: int
-    workers: int
 
     def __post_init__(self) -> None:
         if self.trials < 0:
             raise ValueError("trials must be non-negative")
         if self.dataset not in ("synthetic", "mnist"):
             raise ValueError("dataset must be 'synthetic' or 'mnist'")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         if self.n_train < 1 or self.n_test < 1:
             raise ValueError("dataset sizes must be positive")
 
@@ -167,15 +158,9 @@ def _build_network(section: dict, *, desk_scale: bool) -> NetworkParams:
     return params
 
 
-def load_config(
-    path: Path | None,
-    args: argparse.Namespace,
-    *,
-    command: str,
-    default_sweep: tuple,
-    sweep_name: str,
-) -> ExperimentConfig:
-    """Merge YAML config (if any) with CLI overrides into a resolved config."""
+def load_config(path: Path | None, args: argparse.Namespace) -> ExperimentConfig:
+    """Merge YAML config (if any) with the CLI overrides of ``args.command``."""
+    command = args.command
     raw: dict = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
@@ -186,24 +171,31 @@ def load_config(
             raise SystemExit(f"config file {path} must hold a mapping")
         raw = dict(loaded)
 
-    training_command = command in ("train", "sweep-e", "sweep-height", "env-compare")
+    sweep_section = _coerce_section(raw.get("sweep"), "sweep")
+    unknown = sorted(map(str, raw.keys() - CONFIG_KEYS))
+    unknown += sorted(f"sweep: {k}" for k in sweep_section.keys() - SWEEP_KEYS)
+    if unknown:
+        raise SystemExit(f"config file {path} has unknown keys: {', '.join(unknown)}")
+
+    training_command = command in TRAINING
     network = _build_network(
         _coerce_section(raw.get("network"), "network"), desk_scale=training_command
     )
     quad = QuadratureSpec(**_coerce_section(raw.get("quad"), "quad"))
 
-    seed = raw.get("seed", 0)
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
-    seed = int(seed)
+    def setting(key: str, default, flag: str | None = None):
+        """The flag's value if given, else the config file's, else ``default``."""
+        value = getattr(args, flag or key, None)
+        return raw.get(key, default) if value is None else value
 
+    seed = int(setting("seed", 0))
     train_section = _coerce_section(raw.get("train"), "train")
     train_section["seed"] = seed
     if getattr(args, "rounds", None) is not None:
         train_section["rounds"] = args.rounds
     train_cfg = TrainConfig(**train_section)
 
-    sweep_section = _coerce_section(raw.get("sweep"), "sweep")
+    sweep_name, default_sweep = SWEEPS[command]
     values = tuple(sweep_section.get("values", default_sweep))
     name = str(sweep_section.get("name", sweep_name))
     if name != sweep_name:
@@ -211,25 +203,11 @@ def load_config(
             f"subcommand '{command}' sweeps '{sweep_name}', not '{name}'"
         )
 
-    trials = raw.get("trials", 5000)
-    if getattr(args, "trials", None) is not None:
-        trials = args.trials
-
-    out_dir = raw.get("out", os.environ.get(OUTPUT_DIR_ENV, "results"))
-    if getattr(args, "out", None) is not None:
-        out_dir = args.out
-
-    dataset = raw.get("dataset", "synthetic")
-    if getattr(args, "dataset", None) is not None:
-        dataset = args.dataset
-
-    mnist_dir = raw.get("mnist_dir")
-    if getattr(args, "mnist_dir", None) is not None:
-        mnist_dir = args.mnist_dir
-
-    agg_values = raw.get("aggregators", [k.value for k in AggregatorKind])
-    if getattr(args, "aggregator", None):
-        agg_values = args.aggregator
+    # Training never reads trials; pinning it keeps equal runs' hashes equal.
+    trials = DEFAULT_TRIALS if training_command else setting("trials", DEFAULT_TRIALS)
+    out_dir = setting("out", os.environ.get(OUTPUT_DIR_ENV, "results"))
+    mnist_dir = setting("mnist_dir", None)
+    agg_values = setting("aggregators", [k.value for k in AggregatorKind], "aggregator")
     aggregators = tuple(AggregatorKind(v) for v in agg_values)
 
     return ExperimentConfig(
@@ -241,13 +219,12 @@ def load_config(
         out_dir=Path(out_dir),
         trials=int(trials),
         seed=seed,
-        dataset=str(dataset),
+        dataset=str(setting("dataset", "synthetic")),
         mnist_dir=Path(mnist_dir) if mnist_dir is not None else None,
         aggregators=aggregators,
         n_train=int(raw.get("n_train", DESK_SCALE_SAMPLES["n_train"])),
         n_test=int(raw.get("n_test", DESK_SCALE_SAMPLES["n_test"])),
         dataset_seed=int(raw.get("dataset_seed", 12345)),
-        workers=int(raw.get("workers", 1)),
     )
 
 
@@ -288,43 +265,24 @@ def write_csv(
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _map_pool(fn, items, workers: int):
-    """Apply fn over items with a thread pool, preserving item order."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def cmd_coverage(args: argparse.Namespace) -> int:
-    cfg = load_config(
-        args.config,
-        args,
-        command="coverage",
-        default_sweep=COVERAGE_HEIGHTS,
-        sweep_name="height",
-    )
+    cfg = load_config(args.config, args)
     heights = sorted(float(h) for h in cfg.sweep_values)
-
-    def one_height(item):
-        index, h = item
-        params = cfg.network.with_(height=h)
+    rows, comments = [], []
+    for index, h in enumerate(heights):
         try:
+            params = cfg.network.with_(height=h)
             analytic = cluster_average_success(params, cfg.quad)
+            mc_cols = [None, None, None, None]
             if cfg.trials > 0:
                 rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, index)))
                 mc = estimate_coverage(params, cfg.trials, rng)
                 mc_cols = [mc.p_joint, mc.p_ul, mc.p_dl, mc.half_width_95]
-            else:
-                mc_cols = [None, None, None, None]
-            row = [h, analytic.j_joint, analytic.j_ul, analytic.j_dl, *mc_cols]
-            return row, None
         except Exception as exc:  # noqa: BLE001 - row-level isolation
-            return [h] + [None] * 7, f"partial-failure: height={_fmt(h)}: {exc}"
-
-    results = _map_pool(one_height, list(enumerate(heights)), cfg.workers)
-    rows = [row for row, _ in results]
-    comments = [note for _, note in results if note]
+            rows.append([h] + [None] * 7)
+            comments.append(f"partial-failure: height={_fmt(h)}: {exc}")
+        else:
+            rows.append([h, analytic.j_joint, analytic.j_ul, analytic.j_dl, *mc_cols])
     out = cfg.out_dir / "coverage.csv"
     write_csv(
         out,
@@ -338,128 +296,97 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     return 1 if comments else 0
 
 
-def _run_kinds(cfg: ExperimentConfig, bundle: DataBundle, train_cfg: TrainConfig,
-               network: NetworkParams):
-    """Train each requested aggregator; per-kind failures isolate."""
-    trajectories, comments = {}, []
-    for kind in cfg.aggregators:
-        try:
-            trajectories[kind] = train(
-                train_cfg, network, kind,
-                bundle.train_x, bundle.train_y, bundle.test_x, bundle.test_y,
-                cfg.quad,
-            )
-        except Exception as exc:  # noqa: BLE001 - kind-level isolation
-            comments.append(f"partial-failure: kind={kind.value}: {exc}")
-    return trajectories, comments
+#: One grid point of a training subcommand: the row labels that identify
+#: it, the suffix its failure notes carry, and what is trained there.
+GridPoint = tuple[tuple, str, NetworkParams, TrainConfig]
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    cfg = load_config(
-        args.config, args, command="train",
-        default_sweep=(), sweep_name="none",
-    )
-    bundle = load_dataset(cfg)
-    trajectories, comments = _run_kinds(cfg, bundle, cfg.train, cfg.network)
-    rows = []
-    for kind in cfg.aggregators:
-        result = trajectories.get(kind)
-        if result is None:
-            continue
-        for rec in result.records:
-            rows.append([rec.round, kind.value, rec.loss,
-                         rec.train_accuracy, rec.test_accuracy])
-    out = cfg.out_dir / "training.csv"
-    write_csv(
-        out,
-        ["round", "kind", "loss", "train_acc", "test_acc"],
-        rows,
-        cfg.metadata("train"),
-        comments,
-    )
-    print(f"wrote {out} ({len(rows)} rows)")
-    return 1 if comments else 0
+def _train_points(cfg: ExperimentConfig) -> list[GridPoint]:
+    return [((), "", cfg.network, cfg.train)]
 
 
-def cmd_sweep_e(args: argparse.Namespace) -> int:
-    cfg = load_config(
-        args.config, args, command="sweep-e",
-        default_sweep=EPOCH_VALUES, sweep_name="epochs",
-    )
-    bundle = load_dataset(cfg)
+def _epoch_points(cfg: ExperimentConfig) -> list[GridPoint]:
     epochs = sorted(int(e) for e in cfg.sweep_values)
     if any(e < 1 for e in epochs):
         raise SystemExit("epoch values must be >= 1")
-    rows, comments = [], []
-    for e in epochs:
-        train_cfg = dataclasses.replace(cfg.train, epochs=e)
-        trajectories, notes = _run_kinds(cfg, bundle, train_cfg, cfg.network)
-        comments += [f"{note} (E={e})" for note in notes]
-        for kind in cfg.aggregators:
-            if kind in trajectories:
-                rows.append([e, kind.value, trajectories[kind].final_test_accuracy])
-    out = cfg.out_dir / "epoch_sweep.csv"
-    write_csv(out, ["E", "kind", "final_test_acc"], rows,
-              cfg.metadata("sweep-e"), comments)
-    print(f"wrote {out} ({len(rows)} rows)")
-    return 1 if comments else 0
+    return [((e,), f" (E={e})", cfg.network, dataclasses.replace(cfg.train, epochs=e))
+            for e in epochs]
 
 
-def cmd_sweep_height(args: argparse.Namespace) -> int:
-    cfg = load_config(
-        args.config, args, command="sweep-height",
-        default_sweep=TRAINING_HEIGHTS, sweep_name="height",
-    )
-    bundle = load_dataset(cfg)
+def _height_points(cfg: ExperimentConfig) -> list[GridPoint]:
+    return [((h,), f" (h={_fmt(h)})", cfg.network.with_(height=h), cfg.train)
+            for h in sorted(float(h) for h in cfg.sweep_values)]
+
+
+def _environment_points(cfg: ExperimentConfig) -> list[GridPoint]:
     heights = sorted(float(h) for h in cfg.sweep_values)
-    rows, comments = [], []
-    for h in heights:
-        network = cfg.network.with_(height=h)
-        trajectories, notes = _run_kinds(cfg, bundle, cfg.train, network)
-        comments += [f"{note} (h={_fmt(h)})" for note in notes]
-        for kind in cfg.aggregators:
-            if kind in trajectories:
-                result = trajectories[kind]
-                rows.append([h, kind.value, result.final_test_accuracy,
-                             result.records[-1].loss])
-    out = cfg.out_dir / "height_sweep.csv"
-    write_csv(out, ["h", "kind", "final_test_acc", "final_loss"], rows,
-              cfg.metadata("sweep-height"), comments)
-    print(f"wrote {out} ({len(rows)} rows)")
-    return 1 if comments else 0
+    return [
+        ((env, h), f" (env={env}, h={_fmt(h)})",
+         cfg.network.with_environment(env).with_(height=h), cfg.train)
+        for env in ENVIRONMENT_PRESETS
+        for h in heights
+    ]
 
 
-def cmd_env_compare(args: argparse.Namespace) -> int:
-    cfg = load_config(
-        args.config, args, command="env-compare",
-        default_sweep=ENV_HEIGHTS, sweep_name="height",
-    )
+def _round_rows(labels: tuple, kind: AggregatorKind, result: TrainResult) -> list:
+    return [[rec.round, kind.value, rec.loss, rec.train_accuracy, rec.test_accuracy]
+            for rec in result.records]
+
+
+def _final_accuracy_row(labels: tuple, kind: AggregatorKind, result: TrainResult) -> list:
+    return [[*labels, kind.value, result.final_test_accuracy]]
+
+
+def _final_row(labels: tuple, kind: AggregatorKind, result: TrainResult) -> list:
+    return [[*labels, kind.value, result.final_test_accuracy, result.records[-1].loss]]
+
+
+#: Training subcommands: output CSV, its columns, the grid points, and the
+#: rows one trained aggregator contributes at a point.
+TRAINING = {
+    "train": ("training.csv", ["round", "kind", "loss", "train_acc", "test_acc"],
+              _train_points, _round_rows),
+    "sweep-e": ("epoch_sweep.csv", ["E", "kind", "final_test_acc"],
+                _epoch_points, _final_accuracy_row),
+    "sweep-height": ("height_sweep.csv", ["h", "kind", "final_test_acc", "final_loss"],
+                     _height_points, _final_row),
+    "env-compare": ("environment_compare.csv",
+                    ["environment", "h", "kind", "final_test_acc", "final_loss"],
+                    _environment_points, _final_row),
+}
+
+
+def cmd_training(args: argparse.Namespace) -> int:
+    """Train every requested aggregator at each grid point; one CSV out.
+
+    A failing aggregator at one point is noted in the CSV header and the
+    run goes on; the exit code is 1 if any note was written.
+    """
+    csv_name, columns, grid, row_builder = TRAINING[args.command]
+    cfg = load_config(args.config, args)
+    points = grid(cfg)
     bundle = load_dataset(cfg)
-    heights = sorted(float(h) for h in cfg.sweep_values)
     rows, comments = [], []
-    for preset in environment_presets():
-        for h in heights:
-            network = cfg.network.with_(env_a=preset.a, env_b=preset.b, height=h)
-            trajectories, notes = _run_kinds(cfg, bundle, cfg.train, network)
-            comments += [f"{note} (env={preset.name}, h={_fmt(h)})" for note in notes]
-            for kind in cfg.aggregators:
-                if kind in trajectories:
-                    result = trajectories[kind]
-                    rows.append([preset.name, h, kind.value,
-                                 result.final_test_accuracy,
-                                 result.records[-1].loss])
-    out = cfg.out_dir / "environment_compare.csv"
-    write_csv(out, ["environment", "h", "kind", "final_test_acc", "final_loss"],
-              rows, cfg.metadata("env-compare"), comments)
+    for labels, note, network, train_cfg in points:
+        for kind in cfg.aggregators:
+            try:
+                result = train(
+                    train_cfg, network, kind,
+                    bundle.train_x, bundle.train_y, bundle.test_x, bundle.test_y,
+                    cfg.quad,
+                )
+            except Exception as exc:  # noqa: BLE001 - kind-level isolation
+                comments.append(f"partial-failure: kind={kind.value}: {exc}{note}")
+            else:
+                rows += row_builder(labels, kind, result)
+    out = cfg.out_dir / csv_name
+    write_csv(out, columns, rows, cfg.metadata(args.command), comments)
     print(f"wrote {out} ({len(rows)} rows)")
     return 1 if comments else 0
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    cfg = load_config(
-        args.config, args, command="validate",
-        default_sweep=(45.0, 120.0), sweep_name="height",
-    )
+    cfg = load_config(args.config, args)
     if cfg.trials == 0:
         raise SystemExit("validate compares against Monte-Carlo oracles; --trials must be positive")
     trials = cfg.trials
@@ -523,8 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, default=None,
                        help="YAML config file; flags override its values")
         p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument("--trials", type=int, default=None,
-                       help="Monte-Carlo trials (0 = analytic only)")
         p.add_argument("--out", type=Path, default=None,
                        help=f"output directory (default ${OUTPUT_DIR_ENV} or ./results)")
         if data:
@@ -537,13 +462,16 @@ def build_parser() -> argparse.ArgumentParser:
                            help="directory holding the four IDX files")
             p.add_argument("--rounds", type=int, default=None,
                            help="communication rounds")
+        else:
+            p.add_argument("--trials", type=int, default=None,
+                           help="Monte-Carlo trials (0 = analytic only)")
 
     specs = [
         ("coverage", cmd_coverage, False, "coverage vs height, analytic + Monte-Carlo"),
-        ("train", cmd_train, True, "train one trajectory per aggregation rule"),
-        ("sweep-e", cmd_sweep_e, True, "final accuracy vs local epoch count"),
-        ("sweep-height", cmd_sweep_height, True, "final accuracy vs UAV height"),
-        ("env-compare", cmd_env_compare, True, "final accuracy per LOS environment"),
+        ("train", cmd_training, True, "train one trajectory per aggregation rule"),
+        ("sweep-e", cmd_training, True, "final accuracy vs local epoch count"),
+        ("sweep-height", cmd_training, True, "final accuracy vs UAV height"),
+        ("env-compare", cmd_training, True, "final accuracy per LOS environment"),
         ("validate", cmd_validate, False, "closed forms vs Monte-Carlo oracles"),
     ]
     for name, fn, data, help_text in specs:

@@ -8,7 +8,7 @@ federated-learning loop, and the brute-force oracles
 coverage expressions are validated against.
 
 Trials are vectorized in batches; each batch consumes its own child stream
-spawned from the caller's generator, so a run split across workers merges
+spawned from the caller's generator, so batches run in parallel would merge
 to exactly the sequential result.
 """
 from __future__ import annotations

@@ -1,13 +1,16 @@
 """Command-line interface: config resolution, CSV outputs, determinism."""
 
+from pathlib import Path
+
 import yaml
 import numpy as np
 import pytest
 
 from aerialfl.cli import (
     OUTPUT_DIR_ENV,
+    _environment_points,
     build_parser,
-    environment_presets,
+    load_config,
     main,
     write_csv,
 )
@@ -57,10 +60,16 @@ def test_parser_exposes_all_subcommands():
     assert args.aggregator == ["joint", "fedavg"]
 
 
-def test_environment_presets_are_the_four_references():
-    presets = {p.name: (p.a, p.b) for p in environment_presets()}
+def test_environment_presets_are_the_four_references(tmp_path):
+    # ``env-compare`` trains once per preset, in the preset table's order.
+    config = _write_config(
+        tmp_path / "cfg.yaml", {"sweep": {"name": "height", "values": [45.0]}}
+    )
+    cfg = load_config(config, build_parser().parse_args(["env-compare"]))
+    presets = {labels[0]: (net.env_a, net.env_b)
+               for labels, _, net, _ in _environment_points(cfg)}
     assert presets["urban"] == (9.61, 0.16)
-    assert set(presets) == {"suburban", "urban", "dense-urban", "high-rise"}
+    assert list(presets) == ["suburban", "urban", "dense-urban", "high-rise"]
 
 
 def test_coverage_analytic_only_reruns_byte_identical(tmp_path):
@@ -147,24 +156,150 @@ def test_sweep_name_mismatch_is_rejected(tmp_path):
         main(["coverage", "--config", str(config)])
 
 
-def test_partial_failure_is_reported_not_fatal(tmp_path):
+#: Per training command: output CSV, columns, a ``sweep:`` section and the
+#: leading cells of each grid point in the order rows must appear.
+TRAINING_RUNS = {
+    "train": (
+        "training.csv", "round,kind,loss,train_acc,test_acc", None, None,
+    ),
+    "sweep-e": (
+        "epoch_sweep.csv", "E,kind,final_test_acc",
+        {"name": "epochs", "values": [2, 1]}, [["1"], ["2"]],
+    ),
+    "sweep-height": (
+        "height_sweep.csv", "h,kind,final_test_acc,final_loss",
+        {"name": "height", "values": [120.0, 45.0]}, [["45"], ["120"]],
+    ),
+    "env-compare": (
+        "environment_compare.csv", "environment,h,kind,final_test_acc,final_loss",
+        {"name": "height", "values": [45.0]},
+        [[env, "45"] for env in ("suburban", "urban", "dense-urban", "high-rise")],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(TRAINING_RUNS))
+def test_training_commands_write_grid_by_kind_rows(tmp_path, command):
+    csv_name, columns, sweep, points = TRAINING_RUNS[command]
+    extra = {"network": SMALL_NETWORK, "train": {"rounds": 1}, **SMALL_DATA}
+    if sweep is not None:
+        extra["sweep"] = sweep
+    config = _write_config(tmp_path / "cfg.yaml", extra)
+    kinds = ["joint", "fedavg"]
+    outputs = []
+    for sub in ("a", "b"):
+        out_dir = tmp_path / sub
+        argv = [command, "--config", str(config), "--out", str(out_dir)]
+        for kind in kinds:
+            argv += ["--aggregator", kind]
+        assert main(argv) == 0
+        outputs.append((out_dir / csv_name).read_bytes())
+    assert outputs[0] == outputs[1]
+    lines = [l for l in outputs[0].decode().splitlines() if not l.startswith("#")]
+    assert lines[0] == columns
+    width = len(columns.split(","))
+    if points is None:
+        # ``train`` writes one row per round (0..rounds), kind by kind.
+        expected = [[str(r), kind] for kind in kinds for r in (0, 1)]
+    else:
+        expected = [[*point, kind] for point in points for kind in kinds]
+    cells = [line.split(",") for line in lines[1:]]
+    assert [row[: len(e)] for row, e in zip(cells, expected)] == expected
+    assert len(cells) == len(expected)
+    assert all(len(row) == width and all(row) for row in cells)
+
+
+#: Note suffix each training command appends to a failure at the first
+#: grid point of the configs below.
+FAILURE_SUFFIXES = {
+    "train": "",
+    "sweep-e": " (E=1)",
+    "sweep-height": " (h=45)",
+    "env-compare": " (env=suburban, h=45)",
+}
+
+
+@pytest.mark.parametrize("command", list(FAILURE_SUFFIXES))
+def test_partial_failure_is_reported_not_fatal(tmp_path, command):
     """A broken model name spoils one kind, not the whole run."""
-    config = _write_config(
-        tmp_path / "cfg.yaml",
-        {
-            "network": SMALL_NETWORK,
-            "train": {"model": "transformer", "rounds": 1},
-            **SMALL_DATA,
-        },
-    )
+    extra = {
+        "network": SMALL_NETWORK,
+        "train": {"model": "transformer", "rounds": 1},
+        **SMALL_DATA,
+    }
+    if command != "train":
+        extra["sweep"] = {"values": [1] if command == "sweep-e" else [45.0]}
+    config = _write_config(tmp_path / "cfg.yaml", extra)
     out_dir = tmp_path / "out"
     code = main([
-        "train", "--config", str(config), "--aggregator", "joint",
+        command, "--config", str(config), "--aggregator", "joint",
         "--out", str(out_dir),
     ])
     assert code == 1
-    content = (out_dir / "training.csv").read_text()
-    assert "partial-failure: kind=joint" in content
+    csv_name = TRAINING_RUNS[command][0]
+    notes = [
+        l for l in (out_dir / csv_name).read_text().splitlines()
+        if l.startswith("# partial-failure")
+    ]
+    assert notes[0] == (
+        "# partial-failure: kind=joint: unknown model 'transformer'"
+        + FAILURE_SUFFIXES[command]
+    )
+
+
+@pytest.mark.parametrize("command", list(TRAINING_RUNS))
+def test_training_commands_offer_no_trials_flag(command):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--trials", "7"])
+
+
+def test_yaml_trials_leaves_training_csv_unchanged(tmp_path):
+    # Training never reads ``trials``, so it must not move the config hash.
+    outputs = []
+    for sub, extra in (("plain", {}), ("trials", {"trials": 7})):
+        config = _write_config(
+            tmp_path / f"{sub}.yaml", {"network": SMALL_NETWORK, **SMALL_DATA, **extra}
+        )
+        out_dir = tmp_path / sub
+        code = main([
+            "train", "--config", str(config), "--rounds", "0",
+            "--aggregator", "joint", "--out", str(out_dir),
+        ])
+        assert code == 0
+        outputs.append((out_dir / "training.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "extra, names",
+    [
+        ({"trails": 10}, ["trails"]),
+        ({"rounds": 2, "sead": 1}, ["rounds", "sead"]),
+        ({"sweep": {"name": "height", "value": [45.0]}}, ["sweep: value"]),
+    ],
+)
+def test_unknown_config_keys_are_rejected(tmp_path, extra, names):
+    config = _write_config(tmp_path / "cfg.yaml", extra)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["coverage", "--config", str(config), "--out", str(tmp_path / "out")])
+    for name in names:
+        assert name in str(excinfo.value)
+
+
+def test_readme_example_config_loads_for_every_subcommand(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = yaml.safe_load(readme.split("```yaml\n", 1)[1].split("```", 1)[0])
+    assert "trials" in example
+    parser = build_parser()
+    for command in ("coverage", "train", "sweep-e", "sweep-height",
+                    "env-compare", "validate"):
+        raw = dict(example)
+        if command in ("train", "sweep-e"):
+            del raw["sweep"]  # the example sweeps height
+        config = tmp_path / f"{command}.yaml"
+        config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        cfg = load_config(config, parser.parse_args([command]))
+        assert cfg.network.height == 60.0
 
 
 def test_config_errors_exit_with_code_two(tmp_path):
