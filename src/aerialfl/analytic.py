@@ -5,11 +5,19 @@ link's LOS/NLOS class, the product of a downlink and an uplink factor. Each
 factor is a binomial expansion (from the tight exponential bound on the
 gamma CCDF) whose terms pair a noise exponential with the Laplace transform
 of the aggregate interference, evaluated at positive arguments
-s = j*eta_z*tau / (P * G0 * (r^2+h^2)^(-alpha_z/2)).
+s = j*eta_z*tau / (P * G0 * (r^2+h^2)^(-alpha_z/2)) (`laplace_arguments`).
 
-The Laplace transforms are nested integrals over interferer geometry with
-no closed form; they are evaluated here with batched adaptive quadrature,
-truncating the semi-infinite radial integrals at a configurable radius.
+Both transforms are built from one per-interferer kernel
+kappa(s, d) = E[exp(-s * P * G * H * (d^2+h^2)^(-alpha/2))], the
+LOS/NLOS mix, taken at the interferer's horizontal distance d, of the
+gain- and fading-averaged interference term (`_deficit` returns 1 - kappa).
+The downlink interferers are the other cluster heads, so the kernel is
+evaluated at each head's own distance q; on the uplink the interferer is a
+device of the cluster at q, so the kernel is averaged over that member's
+position with the densities of `geometry`. Either way
+L(s) = exp(-2*pi*lambda * integral of (1 - kappa) q dq), a nested integral
+with no closed form, evaluated here with batched adaptive quadrature and
+truncated at a configurable radius.
 """
 from __future__ import annotations
 
@@ -19,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import GainPattern, LinkType, build_gain_pattern, link_params, los_probability
+from .geometry import arc_distance_pdf, serving_distance_pdf
 from .params import NetworkParams
 from .quadrature import integrate_batch
 
@@ -30,7 +39,6 @@ __all__ = [
     "eta",
     "laplace_dl",
     "laplace_ul",
-    "o_e_inner",
     "joint_success_probability",
     "cluster_average_success",
 ]
@@ -103,294 +111,141 @@ def _gain_mix(x: np.ndarray, m: np.ndarray, pattern: GainPattern) -> np.ndarray:
     return (base ** (-m[:, None])) @ pattern.probs
 
 
-def _class_arrays(params: NetworkParams, n: int):
-    """Per-owner alpha, m, and LOS flags for the [s x LOS, s x NLOS] layout."""
-    alpha = np.concatenate(
-        [np.full(n, params.alpha_los), np.full(n, params.alpha_nlos)]
-    )
-    m = np.concatenate(
-        [np.full(n, float(params.m_los)), np.full(n, float(params.m_nlos))]
-    )
-    is_los = np.concatenate([np.ones(n, dtype=bool), np.zeros(n, dtype=bool)])
-    return alpha, m, is_los
+def _deficit(s, d, power: float, params: NetworkParams, pattern: GainPattern):
+    """1 - kappa: the deficit of the per-interferer Laplace kernel.
 
-
-def laplace_dl(s, params: NetworkParams, quad: QuadratureSpec | None = None):
-    """Laplace transform of the downlink interference, E[exp(-s*I_DL)].
-
-    Interferers are the other cluster heads (a PPP of density lambda seen
-    from the typical cluster's head at the origin), independently thinned
-    into LOS/NLOS classes at their own distances. Accepts a scalar or a 1-D
-    array of arguments; the radial integral is truncated at the spec's
-    truncation radius.
+    kappa is E_G,H[exp(-s*P*G*H*(d^2+h^2)^(-alpha/2))] for one interferer at
+    horizontal distance ``d`` transmitting with ``power``, its LOS/NLOS
+    class mixed with the LOS probability at ``d``. ``s`` and ``d`` are
+    matching per-node arrays. Working with the deficit rather than kappa
+    keeps full relative precision where kappa is close to 1, which is where
+    the outer interference integrals live.
     """
-    quad = quad or QuadratureSpec()
-    s_arr, scalar = _as_argument_array(s)
-    trunc = quad.resolve_truncation(params)
-    pattern = build_gain_pattern(params)
-    n = s_arr.size
-    s_own = np.concatenate([s_arr, s_arr])
-    alpha_own, m_own, los_own = _class_arrays(params, n)
     h_sq = params.height**2
 
-    def integrand(q, own):
-        x = (
-            s_own[own]
-            * params.p_uav
-            * (q * q + h_sq) ** (-alpha_own[own] / 2.0)
-            / m_own[own]
-        )
-        mix = _gain_mix(x, m_own[own], pattern)
-        p_l = los_probability(q, params.height, params.env_a, params.env_b)
-        weight = np.where(los_own[own], p_l, 1.0 - p_l)
-        return (1.0 - mix) * q * weight
+    def class_deficit(alpha, m):
+        x = s * power * (d * d + h_sq) ** (-alpha / 2.0) / m
+        return 1.0 - _gain_mix(x, np.broadcast_to(m, d.shape), pattern)
 
+    p_l = los_probability(d, params.height, params.env_a, params.env_b)
+    return p_l * class_deficit(
+        params.alpha_los, float(params.m_los)
+    ) + (1.0 - p_l) * class_deficit(params.alpha_nlos, float(params.m_nlos))
+
+
+def _member_deficit(
+    s: np.ndarray,
+    q: np.ndarray,
+    params: NetworkParams,
+    pattern: GainPattern,
+    quad: QuadratureSpec,
+) -> np.ndarray:
+    """1 - kappa averaged over the transmitting member of a cluster at q.
+
+    The member is uniform on the cluster disk, so its distance g from the
+    origin has the conditional density of `geometry`: an arc piece on
+    |R - q| <= g <= R + q plus, when q < R, the in-disk piece 2g/R^2 on
+    g < R - q. The arc piece uses a sin^2 substitution that removes the
+    square-root endpoint behavior of the arccos factor.
+    """
+    radius = params.cluster_radius
+    lo = np.abs(q - radius)
+    span = q + radius - lo
+    inner_quad = quad.inner()
+
+    def arc_integrand(theta, own):
+        g = lo[own] + span[own] * np.sin(theta) ** 2
+        jacobian = span[own] * np.sin(2.0 * theta)
+        density = arc_distance_pdf(g, q[own], radius)
+        return _deficit(s[own], g, params.p_device, params, pattern) * density * jacobian
+
+    def disk_integrand(g, own):
+        density = serving_distance_pdf(g, radius)
+        return _deficit(s[own], g, params.p_device, params, pattern) * density
+
+    def integrate(integrand, upper):
+        return integrate_batch(
+            integrand,
+            np.zeros(q.size),
+            upper,
+            rel_tol=inner_quad.rel_tol,
+            abs_tol=inner_quad.abs_tol,
+            max_subdivisions=inner_quad.max_subdivisions,
+        )
+
+    # At q = 0 the arc support is empty (span == 0 flags it as a zero
+    # integral) and the disk piece alone carries the normalization; for
+    # q >= R the disk piece is empty instead.
+    arc = integrate(arc_integrand, np.where(span > 0, math.pi / 2.0, 0.0))
+    return arc + integrate(disk_integrand, radius - q)
+
+
+def _spatial_transform(integrand, lower, upper, n, params, quad):
+    """exp(-2*pi*lambda * sum of the integrals of ``integrand``) per argument.
+
+    The integrals are laid out piece-major: integral ``i*n + k`` is piece
+    ``i`` of argument ``k``.
+    """
     vals = integrate_batch(
         integrand,
-        np.zeros(2 * n),
-        np.full(2 * n, trunc),
+        lower,
+        upper,
         rel_tol=quad.rel_tol,
         # The integral enters the exponent scaled by 2*pi*lam, so absolute
         # accuracy on the transform needs only abs_tol / (2*pi*lam) here.
         abs_tol=quad.abs_tol / (2.0 * math.pi * params.lam),
         max_subdivisions=quad.max_subdivisions,
     )
-    out = np.exp(-2.0 * math.pi * params.lam * (vals[:n] + vals[n:]))
-    return float(out[0]) if scalar else out
+    return np.exp(-2.0 * math.pi * params.lam * vals.reshape(-1, n).sum(axis=0))
 
 
-def _o_e_deficit_nodes(
-    s_nodes: np.ndarray,
-    q_nodes: np.ndarray,
-    alpha_nodes: np.ndarray | None,
-    m_nodes: np.ndarray | None,
-    params: NetworkParams,
-    pattern: GainPattern,
-    quad: QuadratureSpec,
-    *,
-    member_class_mix: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deficits 1 - O_e of the single-cluster kernel, by density piece.
+def laplace_dl(s, params: NetworkParams, quad: QuadratureSpec | None = None):
+    """Laplace transform of the downlink interference, E[exp(-s*I_DL)].
 
-    For each node (a cluster-center distance q with its own Laplace argument
-    and link class) integrates 1 minus the gain-mixed SINR kernel against
-    the conditional distance density of a uniformly placed cluster member.
-    Integrating the deficit rather than the kernel keeps full relative
-    precision where O_e is close to 1, which is exactly where the outer
-    interference integrals live. Returns (arc piece, in-disk piece); their
-    sum is 1 - O_e over the full support.
-
-    With ``member_class_mix`` the per-node link class is ignored and the
-    kernel mixes LOS/NLOS at the member's own distance g, which is the
-    exact law of an interfering device's channel.
-
-    The arc piece uses a sin^2 substitution that removes the square-root
-    endpoint behavior of the arccos factor.
-    """
-    radius = params.cluster_radius
-    h_sq = params.height**2
-    n = q_nodes.size
-    lo = np.abs(q_nodes - radius)
-    hi = q_nodes + radius
-    span = hi - lo
-    inner_quad = quad.inner()
-
-    def class_deficit(g, own, alpha, m):
-        x = (
-            s_nodes[own]
-            * params.p_device
-            * (g * g + h_sq) ** (-alpha / 2.0)
-            / m
-        )
-        return 1.0 - _gain_mix(x, np.broadcast_to(m, g.shape), pattern)
-
-    if member_class_mix:
-
-        def deficit_kernel(g, own):
-            p_l = los_probability(g, params.height, params.env_a, params.env_b)
-            return p_l * class_deficit(
-                g, own, params.alpha_los, float(params.m_los)
-            ) + (1.0 - p_l) * class_deficit(
-                g, own, params.alpha_nlos, float(params.m_nlos)
-            )
-
-    else:
-
-        def deficit_kernel(g, own):
-            return class_deficit(g, own, alpha_nodes[own], m_nodes[own])
-
-    def arc_integrand(theta, own):
-        sin_theta = np.sin(theta)
-        g = lo[own] + span[own] * sin_theta**2
-        jacobian = span[own] * np.sin(2.0 * theta)
-        # Quadrature nodes can land within floating error of the support
-        # endpoints, so clip rather than reject here.
-        ratio = (g * g + q_nodes[own] ** 2 - radius**2) / (2.0 * g * q_nodes[own])
-        density = (2.0 * g / (math.pi * radius**2)) * np.arccos(
-            np.clip(ratio, -1.0, 1.0)
-        )
-        return deficit_kernel(g, own) * density * jacobian
-
-    # At q = 0 the arc support is empty (span == 0 flags it as a zero
-    # integral) and the disk piece alone carries the normalization.
-    arc = integrate_batch(
-        arc_integrand,
-        np.zeros(n),
-        np.where(span > 0, math.pi / 2.0, 0.0),
-        rel_tol=inner_quad.rel_tol,
-        abs_tol=inner_quad.abs_tol,
-        max_subdivisions=inner_quad.max_subdivisions,
-    )
-
-    def disk_integrand(g, own):
-        return deficit_kernel(g, own) * 2.0 * g / radius**2
-
-    disk = integrate_batch(
-        disk_integrand,
-        np.zeros(n),
-        radius - q_nodes,
-        rel_tol=inner_quad.rel_tol,
-        abs_tol=inner_quad.abs_tol,
-        max_subdivisions=inner_quad.max_subdivisions,
-    )
-    return arc, disk
-
-
-def o_e_inner(
-    s: float,
-    q,
-    region: str,
-    z: LinkType,
-    params: NetworkParams,
-    quad: QuadratureSpec | None = None,
-):
-    """Single-cluster interference kernel O_e for one link class.
-
-    ``region="overlap"`` (q <= R) includes the in-disk piece of the
-    conditional distance density; ``region="faraway"`` integrates only the
-    arc piece, which is the whole support once q >= R.
+    Interferers are the other cluster heads (a PPP of density lambda seen
+    from the typical cluster's head at the origin), each contributing the
+    kernel at its own distance. Accepts a scalar or a 1-D array of
+    arguments; the radial integral is truncated at the spec's truncation
+    radius.
     """
     quad = quad or QuadratureSpec()
-    if s < 0 or not math.isfinite(s):
-        raise ValueError("s must be finite and non-negative")
-    q_arr = np.atleast_1d(np.asarray(q, dtype=float))
-    scalar = np.ndim(q) == 0
-    if np.any(q_arr < 0):
-        raise ValueError("q must be non-negative")
-    if region not in ("overlap", "faraway"):
-        raise ValueError("region must be 'overlap' or 'faraway'")
-    if region == "overlap" and np.any(q_arr > params.cluster_radius):
-        raise ValueError("overlap region requires q <= cluster radius")
-    alpha, m = link_params(params, z)
+    s_arr, scalar = _as_argument_array(s)
+    trunc = quad.resolve_truncation(params)
     pattern = build_gain_pattern(params)
-    arc, disk = _o_e_deficit_nodes(
-        np.full(q_arr.size, float(s)),
-        q_arr,
-        np.full(q_arr.size, alpha),
-        np.full(q_arr.size, float(m)),
-        params,
-        pattern,
-        quad,
-    )
-    if region == "overlap":
-        out = 1.0 - (arc + disk)
-    else:
-        # The arc piece alone: its density mass is 1 minus the in-disk
-        # mass ((R-q)/R)^2, which is available in closed form.
-        radius = params.cluster_radius
-        disk_mass = (np.clip(radius - q_arr, 0.0, None) / radius) ** 2
-        out = 1.0 - disk_mass - arc
+    n = s_arr.size
+
+    def integrand(q, own):
+        return _deficit(s_arr[own], q, params.p_uav, params, pattern) * q
+
+    out = _spatial_transform(integrand, np.zeros(n), np.full(n, trunc), n, params, quad)
     return float(out[0]) if scalar else out
 
 
-def laplace_ul(
-    s,
-    params: NetworkParams,
-    quad: QuadratureSpec | None = None,
-    *,
-    class_weighting: str = "member",
-):
+def laplace_ul(s, params: NetworkParams, quad: QuadratureSpec | None = None):
     """Laplace transform of the inter-cluster uplink interference.
 
     One device per interfering cluster transmits (the scheduling scheme
-    leaves a single active device per resource block). Each cluster
-    contributes through the kernel O_e averaged over its member's position.
-    ``class_weighting`` selects where the LOS/NLOS mixture is evaluated:
-
-    - ``"member"`` (default): at the transmitting member's own distance,
-      inside the conditional average — the exact law, matching simulation.
-    - ``"center"``: at the cluster-center distance q, as a product of
-      per-class transforms — the cluster-center approximation.
-    - ``"none"``: no mixture weight at all; every cluster counts once per
-      class. Kept only to quantify that variant's double-counting bias.
+    leaves a single active device per resource block), so each cluster
+    contributes the kernel averaged over its member's position, with the
+    LOS/NLOS mix taken at the member's own distance: the exact law, which
+    the Monte-Carlo field matches. The radial integral splits at the
+    cluster radius, where the member density changes form.
     """
     quad = quad or QuadratureSpec()
-    if class_weighting not in ("member", "center", "none"):
-        raise ValueError("class_weighting must be 'member', 'center', or 'none'")
     s_arr, scalar = _as_argument_array(s)
     trunc = quad.resolve_truncation(params)
     pattern = build_gain_pattern(params)
     radius = params.cluster_radius
     n = s_arr.size
-
-    if class_weighting == "member":
-        # Owner layout: [overlap x s, far x s]; the class mixture lives
-        # inside the member average, so there is no per-class factor.
-        s_own = np.tile(s_arr, 2)
-        disk_own = np.repeat([True, False], n)
-        lower = np.where(disk_own, 0.0, radius)
-        upper = np.where(disk_own, radius, trunc)
-
-        def integrand(q, own):
-            arc, disk = _o_e_deficit_nodes(
-                s_own[own], q, None, None, params, pattern, quad,
-                member_class_mix=True,
-            )
-            return (arc + disk) * q
-
-        vals = integrate_batch(
-            integrand,
-            lower,
-            upper,
-            rel_tol=quad.rel_tol,
-            abs_tol=quad.abs_tol / (2.0 * math.pi * params.lam),
-            max_subdivisions=quad.max_subdivisions,
-        )
-        exponents = vals.reshape(2, n).sum(axis=0)
-        out = np.exp(-2.0 * math.pi * params.lam * exponents)
-        return float(out[0]) if scalar else out
-
-    # Owner layout: region-major, class-minor: [overlap x (L, N), far x (L, N)].
-    s_own = np.tile(s_arr, 4)
-    alpha_cls, m_cls, los_cls = _class_arrays(params, n)
-    alpha_own = np.tile(alpha_cls, 2)
-    m_own = np.tile(m_cls, 2)
-    los_own = np.tile(los_cls, 2)
-    disk_own = np.repeat([True, False], 2 * n)
-    lower = np.where(disk_own, 0.0, radius)
-    upper = np.where(disk_own, radius, trunc)
+    # Owner layout: [overlap x s, far x s].
+    s_own = np.tile(s_arr, 2)
+    lower = np.repeat([0.0, radius], n)
+    upper = np.repeat([radius, trunc], n)
 
     def integrand(q, own):
-        arc, disk = _o_e_deficit_nodes(
-            s_own[own], q, alpha_own[own], m_own[own], params, pattern, quad,
-        )
-        if class_weighting == "center":
-            p_l = los_probability(q, params.height, params.env_a, params.env_b)
-            weight = np.where(los_own[own], p_l, 1.0 - p_l)
-        else:
-            weight = 1.0
-        return (arc + disk) * q * weight
+        return _member_deficit(s_own[own], q, params, pattern, quad) * q
 
-    vals = integrate_batch(
-        integrand,
-        lower,
-        upper,
-        rel_tol=quad.rel_tol,
-        abs_tol=quad.abs_tol / (2.0 * math.pi * params.lam),
-        max_subdivisions=quad.max_subdivisions,
-    )
-    exponents = vals.reshape(2, 2, n).sum(axis=(0, 1))
-    out = np.exp(-2.0 * math.pi * params.lam * exponents)
+    out = _spatial_transform(integrand, lower, upper, n, params, quad)
     return float(out[0]) if scalar else out
 
 
@@ -443,14 +298,14 @@ class AverageSuccess:
 
 
 def laplace_arguments(
-    params: NetworkParams, r_k: float, direction: str, link: LinkType
+    params: NetworkParams, r_k, direction: str, link: LinkType
 ) -> np.ndarray:
     """Arguments s_j = j*eta_z*tau*(r^2+h^2)^(alpha_z/2)/(P*G0), j=1..m_z.
 
     These are the points at which the binomial expansion of the success
-    factor evaluates the interference Laplace transform, exposed so
-    validation harnesses can compare the closed form against a Monte-Carlo
-    oracle at exactly the arguments that matter.
+    factor evaluates the interference Laplace transform; the closed form
+    and the validation harness both take them from here. A scalar ``r_k``
+    gives shape (m_z,), an array of n distances shape (m_z, n).
     """
     if direction == "dl":
         tau, power = params.tau_dl, params.p_uav
@@ -459,13 +314,9 @@ def laplace_arguments(
     else:
         raise ValueError("direction must be 'dl' or 'ul'")
     alpha, m = link_params(params, link)
-    base = (
-        eta(m)
-        * tau
-        * (r_k**2 + params.height**2) ** (alpha / 2.0)
-        / (power * params.g0)
-    )
-    return base * np.arange(1, m + 1)
+    path_loss = (r_k**2 + params.height**2) ** (alpha / 2.0)
+    base = eta(m) * tau * path_loss / (power * params.g0)
+    return np.multiply.outer(np.arange(1, m + 1), base)
 
 
 def _success_factors(
@@ -476,22 +327,15 @@ def _success_factors(
 ) -> dict[LinkType, np.ndarray]:
     """Binomial-sum success factor of one link direction, per serving class.
 
-    F_z(r) = sum_j C(m_z, j) (-1)^(j+1) exp(-s_j n0^2) L(s_j) with
-    s_j = j*eta_z*tau*(r^2+h^2)^(alpha_z/2) / (P*G0).
+    F_z(r) = sum_j C(m_z, j) (-1)^(j+1) exp(-s_j n0^2) L(s_j) with the
+    arguments s_j of `laplace_arguments`.
     """
-    if direction == "dl":
-        tau, power, transform = params.tau_dl, params.p_uav, laplace_dl
-    else:
-        tau, power, transform = params.tau_ul, params.p_device, laplace_ul
-    h_sq = params.height**2
+    transform = laplace_dl if direction == "dl" else laplace_ul
     out: dict[LinkType, np.ndarray] = {}
     for z in (LinkType.LOS, LinkType.NLOS):
-        alpha, m = link_params(params, z)
-        base = eta(m) * tau * (r_arr**2 + h_sq) ** (alpha / 2.0) / (power * params.g0)
-        s_all = np.concatenate([j * base for j in range(1, m + 1)])
-        lap = transform(s_all, params, quad)
-        lap = lap.reshape(m, r_arr.size)
-        s_all = s_all.reshape(m, r_arr.size)
+        s_all = laplace_arguments(params, r_arr, direction, z)
+        m = s_all.shape[0]
+        lap = transform(s_all.ravel(), params, quad).reshape(s_all.shape)
         factor = np.zeros(r_arr.size)
         for j in range(1, m + 1):
             term = (
@@ -586,7 +430,7 @@ def cluster_average_success(
     radius = params.cluster_radius
     x, w = np.polynomial.legendre.leggauss(n_nodes)
     r_arr = 0.5 * radius * (x + 1.0)
-    weights = 0.5 * radius * w * (2.0 * r_arr / radius**2)
+    weights = 0.5 * radius * w * serving_distance_pdf(r_arr, radius)
     _, j_joint, j_los, j_nlos, j_dl, j_ul = _mixed_success(r_arr, params, quad)
     clip = lambda v: float(np.clip(weights @ v, 0.0, 1.0))
     return AverageSuccess(

@@ -196,6 +196,10 @@ def load_config(path: Path | None, args: argparse.Namespace) -> ExperimentConfig
     train_cfg = TrainConfig(**train_section)
 
     sweep_name, default_sweep = SWEEPS[command]
+    if sweep_section and sweep_name == "none":
+        raise SystemExit(
+            f"subcommand '{command}' sweeps nothing; remove the 'sweep' section"
+        )
     values = tuple(sweep_section.get("values", default_sweep))
     name = str(sweep_section.get("name", sweep_name))
     if name != sweep_name:
@@ -462,9 +466,11 @@ def build_parser() -> argparse.ArgumentParser:
                            help="directory holding the four IDX files")
             p.add_argument("--rounds", type=int, default=None,
                            help="communication rounds")
-        else:
-            p.add_argument("--trials", type=int, default=None,
-                           help="Monte-Carlo trials (0 = analytic only)")
+
+    trials_help = {
+        "coverage": "Monte-Carlo trials (0 = analytic only)",
+        "validate": "Monte-Carlo trials (must be positive)",
+    }
 
     specs = [
         ("coverage", cmd_coverage, False, "coverage vs height, analytic + Monte-Carlo"),
@@ -477,6 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn, data, help_text in specs:
         p = sub.add_parser(name, help=help_text)
         add_common(p, data=data)
+        if name in trials_help:
+            p.add_argument("--trials", type=int, default=None, help=trials_help[name])
         p.set_defaults(fn=fn)
     return parser
 

@@ -57,13 +57,31 @@ def serving_distance_pdf(r, R: float):
     return out if out.ndim else float(out)
 
 
+def _arc_cosine(g, q, R: float):
+    """Cosine of the half-angle of the arc of the circle of radius ``g``
+    about the origin that lies inside the disk of radius ``R`` at ``q``."""
+    return (g * g + q * q - R * R) / (2.0 * g * q)
+
+
+def arc_distance_pdf(g, q, R: float):
+    """Arc piece of :func:`conditional_distance_pdf` on its support
+    ``|R - q| <= g <= R + q``, vectorized over matching ``g`` and ``q``.
+
+    Quadrature nodes can land within floating error of the support
+    endpoints, so the arccos argument is clipped rather than rejected.
+    """
+    ratio = np.clip(_arc_cosine(g, q, R), -1.0, 1.0)
+    return (2.0 * g / (math.pi * R**2)) * np.arccos(ratio)
+
+
 def conditional_distance_pdf(g, q: float, R: float):
     """Density of the distance from the origin to a device of a cluster whose
     head is at distance ``q``, for devices uniform on a disk of radius ``R``.
 
-    Piecewise: an arc-length term on ``|R - q| <= g <= R + q`` plus, when the
-    origin lies inside the cluster disk (``q < R``), the plain uniform-disk
-    term ``2g/R^2`` on ``g < R - q``. Accepts scalar or array ``g``.
+    Piecewise: the arc-length term :func:`arc_distance_pdf` on
+    ``|R - q| <= g <= R + q`` plus, when the origin lies inside the cluster
+    disk (``q < R``), the plain uniform-disk term ``2g/R^2`` on
+    ``g < R - q``. Accepts scalar or array ``g``.
     """
     if R <= 0:
         raise ValueError("cluster radius must be positive")
@@ -73,25 +91,20 @@ def conditional_distance_pdf(g, q: float, R: float):
     if np.any(g < 0):
         raise ValueError("distance g must be non-negative")
 
-    out = np.zeros_like(g, dtype=float)
-
     # Inner piece: full circles of radius g around the origin fit in the disk.
-    inner = g < (R - q)
-    np.copyto(out, 2.0 * g / R**2, where=inner)
+    out = np.where(g < (R - q), serving_distance_pdf(g, R), 0.0)
 
     # Arc piece: circles of radius g intersect the disk boundary.
     arc = (g >= abs(R - q)) & (g <= R + q) & (g > 0) & (q > 0)
     if np.any(arc):
         ga = g[arc] if g.ndim else g
-        ratio = (ga**2 + q**2 - R**2) / (2.0 * ga * q)
-        bad = np.abs(ratio) > 1.0 + _ARCCOS_CLAMP
-        if np.any(bad):
+        ratio = _arc_cosine(ga, q, R)
+        if np.any(np.abs(ratio) > 1.0 + _ARCCOS_CLAMP):
             raise ValueError(
                 "arccos argument outside [-1, 1] beyond clamping tolerance; "
                 f"worst value {float(np.max(np.abs(ratio))):.17g}"
             )
-        ratio = np.clip(ratio, -1.0, 1.0)
-        contrib = (2.0 * ga / (math.pi * R**2)) * np.arccos(ratio)
+        contrib = arc_distance_pdf(ga, q, R)
         if g.ndim:
             out[arc] += contrib
         else:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from aerialfl import analytic
 from aerialfl.analytic import (
     QuadratureSpec,
     SuccessProfile,
@@ -14,11 +15,11 @@ from aerialfl.analytic import (
     laplace_arguments,
     laplace_dl,
     laplace_ul,
-    o_e_inner,
     success_profiles,
 )
 from aerialfl.channel import LinkType, build_gain_pattern, link_params
 from aerialfl.params import NetworkParams
+from aerialfl.quadrature import integrate_batch
 
 
 def _reference_argument(params, r_k, direction, link):
@@ -39,11 +40,7 @@ def test_eta_rejects_non_positive_integers(bad):
 
 def test_laplace_transforms_are_one_at_zero(table_params, fast_quad):
     assert laplace_dl(0.0, table_params, fast_quad) == pytest.approx(1.0, abs=1e-9)
-    for weighting in ("member", "center", "none"):
-        val = laplace_ul(
-            0.0, table_params, fast_quad, class_weighting=weighting
-        )
-        assert val == pytest.approx(1.0, abs=1e-9)
+    assert laplace_ul(0.0, table_params, fast_quad) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_laplace_transforms_monotone_and_bounded(table_params, fast_quad):
@@ -77,23 +74,44 @@ def test_laplace_rejects_invalid_arguments(table_params, fast_quad, bad):
         laplace_ul(bad, table_params, fast_quad)
 
 
-def test_laplace_ul_rejects_unknown_weighting(table_params, fast_quad):
-    with pytest.raises(ValueError, match="class_weighting"):
-        laplace_ul(1.0, table_params, fast_quad, class_weighting="both")
+def test_identical_classes_make_the_los_mixture_drop_out(table_params, fast_quad):
+    """With one law for both classes the LOS weights must sum to one.
 
+    The environment then only moves the weights, so neither transform may
+    depend on it, and the downlink must equal the single-class transform
+    exp(-2*pi*lam * int (1 - E_G[(1 + x G)^(-m)]) q dq) written out here;
+    counting each interferer once per class would square it instead.
+    """
+    one_class = table_params.with_(
+        alpha_nlos=table_params.alpha_los, m_nlos=table_params.m_los
+    )
+    s_dl = _reference_argument(one_class, 50.0, "dl", LinkType.LOS)
+    s_ul = _reference_argument(one_class, 50.0, "ul", LinkType.LOS)
+    envs = [one_class.with_environment(name) for name in ("suburban", "high-rise")]
+    dl = [laplace_dl(s_dl, p, fast_quad) for p in envs]
+    ul = [laplace_ul(s_ul, p, fast_quad) for p in envs]
+    assert dl[0] == pytest.approx(dl[1], rel=1e-9)
+    assert ul[0] == pytest.approx(ul[1], rel=1e-9)
+    assert 0.0 < dl[0] < 1.0 and 0.0 < ul[0] < 1.0
 
-def test_laplace_ul_weightings_are_distinct(table_params, fast_quad):
-    """The three mixture placements are genuinely different laws."""
-    s = _reference_argument(table_params, 50.0, "ul", LinkType.LOS)
-    vals = {
-        w: laplace_ul(s, table_params, fast_quad, class_weighting=w)
-        for w in ("member", "center", "none")
-    }
-    assert 0.0 < vals["none"] < vals["member"] <= 1.0
-    assert abs(vals["member"] - vals["center"]) > 1e-4
-    # Counting every cluster once per class doubles the interferer
-    # population, so that variant must sit well below the exact law.
-    assert vals["none"] < vals["member"] - 0.05
+    m = float(one_class.m_los)
+    gains = build_gain_pattern(one_class)
+    h_sq = one_class.height**2
+
+    def single_class(q, _own):
+        x = s_dl * one_class.p_uav * (q * q + h_sq) ** (-one_class.alpha_los / 2.0) / m
+        mix = ((1.0 + x[:, None] * gains.gains) ** (-m)) @ gains.probs
+        return (1.0 - mix) * q
+
+    lam = one_class.lam
+    exponent = integrate_batch(
+        single_class,
+        np.zeros(1),
+        np.full(1, fast_quad.resolve_truncation(one_class)),
+        rel_tol=fast_quad.rel_tol,
+        abs_tol=fast_quad.abs_tol / (2.0 * math.pi * lam),
+    )[0]
+    assert dl[0] == pytest.approx(math.exp(-2.0 * math.pi * lam * exponent), rel=1e-9)
 
 
 def test_sparse_network_has_unit_laplace(table_params, fast_quad):
@@ -111,41 +129,55 @@ def test_sparse_network_has_unit_laplace(table_params, fast_quad):
     assert laplace_ul(s_ul, sparse, pinned) == pytest.approx(1.0, abs=1e-9)
 
 
+def _member_and_point_deficits(params, quad, s, q):
+    pattern = build_gain_pattern(params)
+    s, q = np.atleast_1d(s).astype(float), np.atleast_1d(q).astype(float)
+    member = analytic._member_deficit(s, q, params, pattern, quad)
+    point = analytic._deficit(s, q, params.p_device, params, pattern)
+    return member, point
+
+
 @pytest.mark.parametrize("link", [LinkType.LOS, LinkType.NLOS])
 def test_o_e_faraway_point_mass_limit(table_params, fast_quad, link):
-    """Far away, a cluster interferes like a point at its center."""
-    q = 100.0 * table_params.cluster_radius
+    """Far away, a cluster interferes like a point at its center.
+
+    Both classes are given ``link``'s law, so the member average must reduce
+    to that class's point kernel 1 - E_G[(1 + x G)^(-m)] written out here.
+    """
     alpha, m = link_params(table_params, link)
-    pattern = build_gain_pattern(table_params)
-    path = (q * q + table_params.height**2) ** (-alpha / 2.0)
+    one_class = table_params.with_(
+        alpha_los=alpha, alpha_nlos=alpha, m_los=m, m_nlos=m
+    )
+    pattern = build_gain_pattern(one_class)
+    q = 100.0 * one_class.cluster_radius
+    path = (q * q + one_class.height**2) ** (-alpha / 2.0)
     for deficit_scale in (3.0, 0.3):
-        s = deficit_scale / (table_params.p_device * path)
-        val = o_e_inner(s, q, "faraway", link, table_params, fast_quad)
-        x = s * table_params.p_device * path / m
-        point = float(((1.0 + x * pattern.gains) ** (-m)) @ pattern.probs)
-        assert val == pytest.approx(point, rel=1e-3, abs=1e-6)
+        s = deficit_scale / (one_class.p_device * path)
+        member, point = _member_and_point_deficits(one_class, fast_quad, s, q)
+        x = s * one_class.p_device * path / m
+        written_out = 1.0 - float(((1.0 + x * pattern.gains) ** (-m)) @ pattern.probs)
+        assert point[0] == pytest.approx(written_out, rel=1e-12)
+        assert member[0] == pytest.approx(written_out, rel=1e-3)
+        assert 0.0 < written_out < 1.0
 
 
-def test_o_e_regions_agree_at_cluster_boundary(table_params, fast_quad):
-    """At q = R the in-disk mass vanishes, so both pieces coincide."""
+def test_member_deficit_is_continuous_at_cluster_boundary(table_params, fast_quad):
+    """At q = R the in-disk piece hands over to the arc piece."""
     radius = table_params.cluster_radius
     s = _reference_argument(table_params, 50.0, "ul", LinkType.LOS)
-    overlap = o_e_inner(s, radius, "overlap", LinkType.LOS, table_params, fast_quad)
-    faraway = o_e_inner(s, radius, "faraway", LinkType.LOS, table_params, fast_quad)
-    assert overlap == pytest.approx(faraway, abs=1e-12)
-    assert 0.0 < overlap <= 1.0
+    q = radius * np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9])
+    member, _ = _member_and_point_deficits(table_params, fast_quad, np.full(3, s), q)
+    np.testing.assert_allclose(member, member[1], rtol=0.0, atol=1e-9)
+    assert 0.0 < member[1] < 1.0
 
 
-def test_o_e_validation(table_params, fast_quad):
+def test_member_deficit_integrates_a_unit_density(table_params, fast_quad):
+    """With an overwhelming argument every position silences the link, so
+    the member average returns the mass of the member density itself."""
     radius = table_params.cluster_radius
-    with pytest.raises(ValueError):
-        o_e_inner(-1.0, 10.0, "overlap", LinkType.LOS, table_params, fast_quad)
-    with pytest.raises(ValueError):
-        o_e_inner(1.0, -5.0, "overlap", LinkType.LOS, table_params, fast_quad)
-    with pytest.raises(ValueError, match="region"):
-        o_e_inner(1.0, 10.0, "inside", LinkType.LOS, table_params, fast_quad)
-    with pytest.raises(ValueError, match="overlap"):
-        o_e_inner(1.0, 2.0 * radius, "overlap", LinkType.LOS, table_params, fast_quad)
+    q = radius * np.array([0.0, 0.5, 1.0, 3.0])
+    member, _ = _member_and_point_deficits(table_params, fast_quad, np.full(4, 1e30), q)
+    np.testing.assert_allclose(member, 1.0, rtol=1e-6)
 
 
 def test_laplace_arguments_shape_and_scaling(table_params):
@@ -166,11 +198,44 @@ def test_laplace_arguments_shape_and_scaling(table_params):
                 / (power * table_params.g0)
             )
             assert args[0] == pytest.approx(expected, rel=1e-14)
+            r_k = np.array([5.0, 50.0, 95.0])
+            grid = laplace_arguments(table_params, r_k, direction, link)
+            assert grid.shape == (m, r_k.size)
+            for i, r in enumerate(r_k):
+                np.testing.assert_array_equal(
+                    grid[:, i], laplace_arguments(table_params, float(r), direction, link)
+                )
 
 
 def test_laplace_arguments_rejects_unknown_direction(table_params):
     with pytest.raises(ValueError, match="direction"):
         laplace_arguments(table_params, 50.0, "sideways", LinkType.LOS)
+
+
+def test_closed_form_evaluates_transforms_at_laplace_arguments(
+    table_params, fast_quad, monkeypatch
+):
+    """The success factors call each transform at exactly the arguments
+    that `laplace_arguments` exposes (and `validate` checks)."""
+    seen = {"dl": [], "ul": []}
+    for direction in seen:
+        original = getattr(analytic, f"laplace_{direction}")
+
+        def recording(s, params, quad=None, *, _original=original, _seen=seen[direction]):
+            _seen.append(np.array(s, dtype=float))
+            return _original(s, params, quad)
+
+        monkeypatch.setattr(analytic, f"laplace_{direction}", recording)
+    r_values = np.array([5.0, 50.0, 95.0])
+    success_profiles(r_values, table_params, fast_quad)
+    for direction, calls in seen.items():
+        expected = [
+            laplace_arguments(table_params, r_values, direction, link).ravel()
+            for link in (LinkType.LOS, LinkType.NLOS)
+        ]
+        assert len(calls) == len(expected)
+        for got, want in zip(calls, expected):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_success_profiles_match_scalar_calls(table_params, fast_quad):

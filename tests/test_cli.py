@@ -286,6 +286,27 @@ def test_unknown_config_keys_are_rejected(tmp_path, extra, names):
         assert name in str(excinfo.value)
 
 
+def test_sweep_section_is_rejected_where_nothing_is_swept(tmp_path):
+    # ``train`` has no grid; a ``sweep:`` section would only move its hash.
+    config = _write_config(tmp_path / "cfg.yaml", {"sweep": {"values": [45.0]}})
+    parser = build_parser()
+    with pytest.raises(SystemExit, match="sweeps nothing"):
+        load_config(config, parser.parse_args(["train"]))
+    assert load_config(config, parser.parse_args(["sweep-height"])).sweep_values == (45.0,)
+
+
+def test_trials_help_matches_each_command(capsys):
+    parser = build_parser()
+    helps = {}
+    for command in ("coverage", "validate"):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        helps[command] = " ".join(capsys.readouterr().out.split())
+    assert "0 = analytic only" in helps["coverage"]
+    assert "must be positive" in helps["validate"]
+    assert "analytic only" not in helps["validate"]
+
+
 def test_readme_example_config_loads_for_every_subcommand(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     example = yaml.safe_load(readme.split("```yaml\n", 1)[1].split("```", 1)[0])
