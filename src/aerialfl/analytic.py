@@ -41,6 +41,8 @@ __all__ = [
     "laplace_ul",
     "joint_success_probability",
     "cluster_average_success",
+    "laplace_arguments",
+    "success_profiles",
 ]
 
 # Default truncation of the semi-infinite interference integrals, in units

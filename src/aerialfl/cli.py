@@ -16,9 +16,11 @@ supplies only its grid points and the rows one trained aggregator yields.
 Configs are YAML files whose sections mirror the dataclasses
 (``network:``, ``quad:``, ``train:``, plus top-level keys); an unknown key
 is an error, and command-line flags override file values.  ``trials``
-applies to ``coverage`` and ``validate`` only.  Every CSV begins with ``#``
-metadata lines carrying the resolved-config hash and the seed, and contains
-no timestamps, so rerunning an identical config produces identical bytes.
+applies to ``coverage`` and ``validate`` only, the training and dataset
+keys to the training subcommands only, and a key a command ignores does
+not enter its config hash.  Every CSV begins with ``#`` metadata lines
+carrying the resolved-config hash and the seed, and contains no
+timestamps, so rerunning an identical config produces identical bytes.
 The default output directory is taken from ``AERIALFL_OUT`` when set.
 """
 
@@ -78,6 +80,8 @@ CONFIG_KEYS = frozenset({
     "mnist_dir", "aggregators", "n_train", "n_test", "dataset_seed",
 })
 SWEEP_KEYS = frozenset({"name", "values"})
+#: Keys only the training subcommands read.
+TRAINING_KEYS = CONFIG_KEYS - {"network", "quad", "sweep", "trials", "seed", "out"}
 
 #: Training subcommands default to a small cluster that keeps q_k = M/N at
 #: its full-scale value while finishing in minutes; ``coverage`` and
@@ -178,6 +182,9 @@ def load_config(path: Path | None, args: argparse.Namespace) -> ExperimentConfig
         raise SystemExit(f"config file {path} has unknown keys: {', '.join(unknown)}")
 
     training_command = command in TRAINING
+    if not training_command:
+        # Nothing here reads the training keys; drop them, as ``trials`` is below.
+        raw = {k: v for k, v in raw.items() if k not in TRAINING_KEYS}
     network = _build_network(
         _coerce_section(raw.get("network"), "network"), desk_scale=training_command
     )

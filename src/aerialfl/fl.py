@@ -16,13 +16,13 @@ the surviving set.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .analytic import QuadratureSpec, SuccessProfile, success_profiles
-from .geometry import Topology, sample_topology
+from .geometry import sample_topology
 from .models import Model, build_model
 from .montecarlo import RoundChannel, realize_round
 from .params import NetworkParams
@@ -158,13 +158,11 @@ class RoundMetrics:
 
 @dataclass(frozen=True)
 class TrainResult:
-    """Trajectory of a federated run plus the artifacts needed to replay it."""
+    """Per-round metrics, final model and device success profiles of a run."""
 
     records: list[RoundMetrics]
     final_state: ModelState
     profiles: list[SuccessProfile]
-    partitions: list[DeviceDataset] = field(repr=False)
-    topology: Topology = field(repr=False)
 
     @property
     def final_test_accuracy(self) -> float:
@@ -263,31 +261,26 @@ def aggregate(
 ) -> ModelState:
     """Combine the local models that survived both links into a new state.
 
-    ``p[k]`` is device k's share of the global objective.  The joint rule
-    adds ``p_k / (q_k * J_k)`` times each surviving update difference, which
-    is unbiased for the full-participation aggregate because each term
-    survives with probability exactly ``q_k * J_k``.  The uplink-only rule
-    divides by ``q_k * J_k^ul`` instead (updates still must survive both
-    links to arrive), leaving the downlink loss uncorrected.  Plain
-    federated averaging renormalizes over survivors; an empty round leaves
+    Each device that arrived, in schedule order, gets one coefficient c_k,
+    and the new model is ``w + sum_k c_k (u_k - w)``; ``p[k]`` is device
+    k's share of the global objective.  The joint rule takes
+    ``c_k = p_k / (q_k * J_k)``, which is unbiased for the
+    full-participation aggregate because each term survives with
+    probability exactly ``q_k * J_k``.  The uplink-only rule divides by
+    ``q_k * J_k^ul`` instead (updates still must survive both links to
+    arrive), leaving the downlink loss uncorrected.  Plain federated
+    averaging renormalizes ``p_k`` over the survivors; an empty round leaves
     the model unchanged.
     """
     p = np.asarray(p, dtype=float)
-    sched = np.asarray(channel.device_ids)
-    passed = channel.joint_success
     w = state.weights
-    delta = np.zeros_like(w)
+    arrived = [int(k) for k, ok in zip(channel.device_ids, channel.joint_success) if ok]
     if kind is AggregatorKind.FEDAVG:
-        surv = [int(k) for k, ok in zip(sched, passed) if ok]
-        total = float(sum(p[k] for k in surv))
-        if surv and total > 0:
-            for k in surv:
-                delta += (p[k] / total) * (_update_weights(updates[k]) - w)
+        total = float(sum(p[k] for k in arrived))
+        coefficients = [p[k] / total for k in arrived] if total > 0 else []
     else:
-        for k, ok in zip(sched, passed):
-            if not ok:
-                continue
-            k = int(k)
+        coefficients = []
+        for k in arrived:
             prof = profiles[k]
             j = prof.j_joint if kind is AggregatorKind.JOINT else prof.j_ul
             if j <= 0.0 or prof.q_k <= 0.0:
@@ -295,7 +288,10 @@ def aggregate(
                     f"device {k} has vanishing success probability; "
                     "inverse weighting is undefined"
                 )
-            delta += (p[k] / (prof.q_k * j)) * (_update_weights(updates[k]) - w)
+            coefficients.append(p[k] / (prof.q_k * j))
+    delta = np.zeros_like(w)
+    for k, c in zip(arrived, coefficients):
+        delta += c * (_update_weights(updates[k]) - w)
     return ModelState(weights=w + delta, round=state.round + 1)
 
 
@@ -395,6 +391,4 @@ def train(
         records=records,
         final_state=state,
         profiles=profiles,
-        partitions=partitions,
-        topology=topology,
     )

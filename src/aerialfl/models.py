@@ -1,17 +1,19 @@
-"""Flat-parameter classifiers with explicit, checkable gradients.
+"""One dense softmax classifier with explicit, checkable gradients.
 
-Both models expose the same three functions over a flat weight vector:
-``init`` -> w0, ``loss_and_grad`` -> (mean cross-entropy, flat gradient),
+Softmax regression is its case without a hidden layer, the MLP its case
+with one. Both expose three functions over a flat weight vector: ``init``
+-> w0, ``loss_and_grad`` -> (mean cross-entropy, flat gradient),
 ``predict`` -> labels. Keeping parameters flat makes the federated
 aggregation arithmetic a plain vector expression.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Model", "multinomial_logistic", "mlp_one_hidden"]
+__all__ = ["Model", "build_model", "mlp_one_hidden", "multinomial_logistic"]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -32,81 +34,45 @@ class Model:
     predict: "callable"
 
 
-def multinomial_logistic(n_features: int, n_classes: int) -> Model:
-    """Softmax regression with bias; zero init gives loss ln(n_classes)."""
-    n_params = (n_features + 1) * n_classes
+def _dense(name: str, widths: Sequence[int]) -> Model:
+    """Fully connected softmax classifier with rectified hidden layers.
+
+    ``widths`` runs from the input features to the classes; the flat vector
+    holds each layer's weight matrix, then its bias. Init is all zeros
+    without a hidden layer; with one, each weight matrix is He-initialized
+    in layer order and a generator is required.
+    """
+    shapes = []
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        shapes += [(fan_in, fan_out), (fan_out,)]
+    bounds = np.cumsum([0] + [int(np.prod(s)) for s in shapes]).tolist()
+    n_params = bounds[-1]
 
     def unpack(w):
-        mat = w.reshape(n_features + 1, n_classes)
-        return mat[:-1], mat[-1]
+        parts = [w[a:b].reshape(s) for a, b, s in zip(bounds, bounds[1:], shapes)]
+        return list(zip(parts[::2], parts[1::2]))
+
+    def forward(w, x):
+        """Layers, the input to each layer, and the logits."""
+        layers = unpack(w)
+        inputs = [x]
+        for weight, bias in layers[:-1]:
+            inputs.append(np.maximum(inputs[-1] @ weight + bias, 0.0))
+        weight, bias = layers[-1]
+        return layers, inputs, inputs[-1] @ weight + bias
 
     def init(rng=None) -> np.ndarray:
-        return np.zeros(n_params)
-
-    def loss_and_grad(w, x, y):
-        weight, bias = unpack(w)
-        logits = x @ weight + bias
-        logp = _log_softmax(logits)
-        n = x.shape[0]
-        loss = -float(logp[np.arange(n), y].mean())
-        delta = np.exp(logp)
-        delta[np.arange(n), y] -= 1.0
-        delta /= n
-        grad = np.empty_like(w.reshape(n_features + 1, n_classes))
-        grad[:-1] = x.T @ delta
-        grad[-1] = delta.sum(axis=0)
-        return loss, grad.ravel()
-
-    def predict(w, x):
-        weight, bias = unpack(w)
-        return np.argmax(x @ weight + bias, axis=1)
-
-    return Model(
-        name="multinomial-logistic",
-        n_features=n_features,
-        n_classes=n_classes,
-        n_params=n_params,
-        init=init,
-        loss_and_grad=loss_and_grad,
-        predict=predict,
-    )
-
-
-def mlp_one_hidden(
-    n_features: int, n_classes: int, n_hidden: int = 64
-) -> Model:
-    """One rectified hidden layer; init requires a generator."""
-    shapes = [
-        (n_features, n_hidden),
-        (n_hidden,),
-        (n_hidden, n_classes),
-        (n_classes,),
-    ]
-    sizes = [int(np.prod(s)) for s in shapes]
-    n_params = sum(sizes)
-    bounds = np.cumsum([0] + sizes)
-
-    def unpack(w):
-        return [
-            w[bounds[i] : bounds[i + 1]].reshape(shapes[i]) for i in range(4)
-        ]
-
-    def init(rng) -> np.ndarray:
+        out = np.zeros(n_params)
+        if len(widths) == 2:
+            return out
         if rng is None:
             raise ValueError("the hidden-layer model needs a generator to init")
-        w1 = rng.normal(0.0, np.sqrt(2.0 / n_features), shapes[0])
-        w2 = rng.normal(0.0, np.sqrt(2.0 / n_hidden), shapes[2])
-        out = np.zeros(n_params)
-        parts = unpack(out)
-        parts[0][:] = w1
-        parts[2][:] = w2
+        for weight, _ in unpack(out):
+            weight[:] = rng.normal(0.0, np.sqrt(2.0 / weight.shape[0]), weight.shape)
         return out
 
     def loss_and_grad(w, x, y):
-        w1, b1, w2, b2 = unpack(w)
-        pre = x @ w1 + b1
-        hidden = np.maximum(pre, 0.0)
-        logits = hidden @ w2 + b2
+        layers, inputs, logits = forward(w, x)
         logp = _log_softmax(logits)
         n = x.shape[0]
         loss = -float(logp[np.arange(n), y].mean())
@@ -114,28 +80,36 @@ def mlp_one_hidden(
         delta[np.arange(n), y] -= 1.0
         delta /= n
         grad = np.empty_like(w)
-        g1, gb1, g2, gb2 = unpack(grad)
-        g2[:] = hidden.T @ delta
-        gb2[:] = delta.sum(axis=0)
-        back = (delta @ w2.T) * (pre > 0.0)
-        g1[:] = x.T @ back
-        gb1[:] = back.sum(axis=0)
+        grads = unpack(grad)
+        for i in reversed(range(len(layers))):
+            grads[i][0][:] = inputs[i].T @ delta
+            grads[i][1][:] = delta.sum(axis=0)
+            if i:  # a ReLU output is positive exactly where its input is
+                delta = (delta @ layers[i][0].T) * (inputs[i] > 0.0)
         return loss, grad
 
     def predict(w, x):
-        w1, b1, w2, b2 = unpack(w)
-        hidden = np.maximum(x @ w1 + b1, 0.0)
-        return np.argmax(hidden @ w2 + b2, axis=1)
+        return np.argmax(forward(w, x)[2], axis=1)
 
     return Model(
-        name="mlp-1hidden",
-        n_features=n_features,
-        n_classes=n_classes,
+        name=name,
+        n_features=widths[0],
+        n_classes=widths[-1],
         n_params=n_params,
         init=init,
         loss_and_grad=loss_and_grad,
         predict=predict,
     )
+
+
+def multinomial_logistic(n_features: int, n_classes: int) -> Model:
+    """Softmax regression with bias; zero init gives loss ln(n_classes)."""
+    return _dense("multinomial-logistic", [n_features, n_classes])
+
+
+def mlp_one_hidden(n_features: int, n_classes: int, n_hidden: int = 64) -> Model:
+    """One rectified hidden layer; init requires a generator."""
+    return _dense("mlp-1hidden", [n_features, n_hidden, n_classes])
 
 
 def build_model(name: str, n_features: int, n_classes: int) -> Model:

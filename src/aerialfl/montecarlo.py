@@ -7,9 +7,9 @@ federated-learning loop, and the brute-force oracles
 (:func:`estimate_coverage`, :func:`laplace_oracle`) that the analytic
 coverage expressions are validated against.
 
-Trials are vectorized in batches; each batch consumes its own child stream
-spawned from the caller's generator, so batches run in parallel would merge
-to exactly the sequential result.
+Trials are vectorized in batches of a fixed size; each batch consumes its
+own child stream spawned from the caller's generator, so an estimate depends
+only on the generator and the trial count.
 """
 from __future__ import annotations
 
@@ -25,12 +25,13 @@ from .params import NetworkParams
 __all__ = [
     "CoverageEstimate",
     "RoundChannel",
+    "binomial_half_width",
     "estimate_coverage",
     "laplace_oracle",
     "realize_round",
 ]
 
-_DEFAULT_BATCH = 2048
+_BATCH = 2048
 
 
 def binomial_half_width(p: float, trials: int) -> float:
@@ -46,7 +47,6 @@ class CoverageEstimate:
     p_ul: float
     p_dl: float
     trials: int
-    half_width_95: float
 
     def __post_init__(self):
         if self.trials < 1:
@@ -58,30 +58,11 @@ class CoverageEstimate:
         upper = min(self.p_ul, self.p_dl)
         if not (lower - 1e-12 <= self.p_joint <= upper + 1e-12):
             raise ValueError("joint frequency violates its Frechet bounds")
-        expected = binomial_half_width(self.p_joint, self.trials)
-        if abs(self.half_width_95 - expected) > 1e-12:
-            raise ValueError("half_width_95 inconsistent with p_joint and trials")
 
     @property
-    def half_width_ul(self) -> float:
-        return binomial_half_width(self.p_ul, self.trials)
-
-    @property
-    def half_width_dl(self) -> float:
-        return binomial_half_width(self.p_dl, self.trials)
-
-    def merge(self, other: "CoverageEstimate") -> "CoverageEstimate":
-        """Pool two batches; exact for frequency estimates."""
-        total = self.trials + other.trials
-        pool = lambda a, b: (self.trials * a + other.trials * b) / total
-        p_joint = pool(self.p_joint, other.p_joint)
-        return CoverageEstimate(
-            p_joint=p_joint,
-            p_ul=pool(self.p_ul, other.p_ul),
-            p_dl=pool(self.p_dl, other.p_dl),
-            trials=total,
-            half_width_95=binomial_half_width(p_joint, total),
-        )
+    def half_width_95(self) -> float:
+        """95% half-width of the joint frequency."""
+        return binomial_half_width(self.p_joint, self.trials)
 
 
 @dataclass(frozen=True)
@@ -213,6 +194,13 @@ def _link_success(
     return sinr_dl > params.tau_dl, sinr_ul > params.tau_ul
 
 
+def _batches(trials: int, rng: np.random.Generator):
+    """(size, stream) of each batch; the last batch may be ragged."""
+    streams = rng.spawn((trials + _BATCH - 1) // _BATCH)
+    for b, stream in enumerate(streams):
+        yield min(_BATCH, trials - b * _BATCH), stream
+
+
 def _coverage_batch(
     params: NetworkParams, n_trials: int, rng: np.random.Generator
 ) -> tuple[int, int, int]:
@@ -228,8 +216,6 @@ def estimate_coverage(
     params: NetworkParams,
     trials: int,
     rng: np.random.Generator,
-    *,
-    batch_size: int = _DEFAULT_BATCH,
 ) -> CoverageEstimate:
     """Empirical joint/DL/UL success probabilities of the typical device.
 
@@ -240,13 +226,8 @@ def estimate_coverage(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
-    n_batches = (trials + batch_size - 1) // batch_size
-    streams = rng.spawn(n_batches)
     joint = dl = ul = 0
-    for b, stream in enumerate(streams):
-        n = min(batch_size, trials - b * batch_size)
+    for n, stream in _batches(trials, rng):
         bj, bd, bu = _coverage_batch(params, n, stream)
         joint += bj
         dl += bd
@@ -256,7 +237,6 @@ def estimate_coverage(
         p_ul=ul / trials,
         p_dl=dl / trials,
         trials=trials,
-        half_width_95=binomial_half_width(joint / trials, trials),
     )
 
 
@@ -266,8 +246,6 @@ def laplace_oracle(
     s: float,
     trials: int,
     rng: np.random.Generator,
-    *,
-    batch_size: int = _DEFAULT_BATCH,
 ) -> tuple[float, float]:
     """Brute-force Laplace transform E[exp(-s I)] of one interference field.
 
@@ -282,12 +260,9 @@ def laplace_oracle(
     pattern = build_gain_pattern(params)
     tx_power = params.p_uav if direction is Direction.DL else params.p_device
     offset = direction is Direction.UL
-    n_batches = (trials + batch_size - 1) // batch_size
-    streams = rng.spawn(n_batches)
     total = 0.0
     total_sq = 0.0
-    for b, stream in enumerate(streams):
-        n = min(batch_size, trials - b * batch_size)
+    for n, stream in _batches(trials, rng):
         radii, owner = _parent_radii(n, params, stream)
         field = _interferer_field(
             radii, owner, n, tx_power, params, pattern, stream,

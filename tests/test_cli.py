@@ -270,6 +270,21 @@ def test_yaml_trials_leaves_training_csv_unchanged(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_training_keys_leave_coverage_csv_unchanged(tmp_path):
+    # ``coverage`` reads no training field, so none may move the config hash.
+    training = {"train": {"epochs": 5}, "aggregators": ["joint"], "n_train": 500}
+    outputs = []
+    for sub, extra in (("plain", {}), ("training", training)):
+        config = _write_config(
+            tmp_path / f"{sub}.yaml",
+            {"sweep": {"values": [45.0]}, "trials": 0, **extra},
+        )
+        out_dir = tmp_path / sub
+        assert main(["coverage", "--config", str(config), "--out", str(out_dir)]) == 0
+        outputs.append((out_dir / "coverage.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize(
     "extra, names",
     [

@@ -340,7 +340,6 @@ def test_train_record_structure(table_params, fast_quad, small_bundle):
     assert [r.round for r in result.records] == [0, 1, 2, 3]
     assert result.final_state.round == 3
     assert len(result.profiles) == 5
-    assert len(result.partitions) == 5
     assert result.final_test_accuracy == result.records[-1].test_accuracy
     assert result.records[0].loss == pytest.approx(math.log(4), rel=1e-12)
     zero_rounds = TrainConfig(

@@ -14,6 +14,7 @@ from aerialfl.params import db_to_linear
 from aerialfl.montecarlo import (
     CoverageEstimate,
     RoundChannel,
+    _coverage_batch,
     _interferer_field,
     _link_success,
     _parent_radii,
@@ -41,19 +42,12 @@ def test_binomial_half_width_bounds(p, trials):
 
 
 def _estimate(p_joint, p_ul, p_dl, trials):
-    return CoverageEstimate(
-        p_joint=p_joint,
-        p_ul=p_ul,
-        p_dl=p_dl,
-        trials=trials,
-        half_width_95=binomial_half_width(p_joint, trials),
-    )
+    return CoverageEstimate(p_joint=p_joint, p_ul=p_ul, p_dl=p_dl, trials=trials)
 
 
 def test_coverage_estimate_validation():
     est = _estimate(0.4, 0.7, 0.5, 1000)
-    assert est.half_width_ul == pytest.approx(binomial_half_width(0.7, 1000))
-    assert est.half_width_dl == pytest.approx(binomial_half_width(0.5, 1000))
+    assert est.half_width_95 == binomial_half_width(0.4, 1000)
     with pytest.raises(ValueError, match="Frechet"):
         _estimate(0.6, 0.7, 0.5, 1000)
     with pytest.raises(ValueError, match="Frechet"):
@@ -61,26 +55,7 @@ def test_coverage_estimate_validation():
     with pytest.raises(ValueError, match="probabilities"):
         _estimate(-0.1, 0.7, 0.5, 1000)
     with pytest.raises(ValueError, match="trials"):
-        CoverageEstimate(
-            p_joint=0.4, p_ul=0.7, p_dl=0.5, trials=0, half_width_95=0.0
-        )
-    with pytest.raises(ValueError, match="half_width"):
-        CoverageEstimate(
-            p_joint=0.4, p_ul=0.7, p_dl=0.5, trials=1000, half_width_95=0.5
-        )
-
-
-def test_coverage_estimate_merge_pools_frequencies():
-    a = _estimate(0.40, 0.70, 0.50, 1000)
-    b = _estimate(0.10, 0.40, 0.20, 3000)
-    merged = a.merge(b)
-    assert merged.trials == 4000
-    assert merged.p_joint == pytest.approx((0.40 * 1000 + 0.10 * 3000) / 4000)
-    assert merged.p_ul == pytest.approx((0.70 * 1000 + 0.40 * 3000) / 4000)
-    assert merged.p_dl == pytest.approx((0.50 * 1000 + 0.20 * 3000) / 4000)
-    same = a.merge(a)
-    assert same.p_joint == pytest.approx(a.p_joint)
-    assert same.trials == 2 * a.trials
+        _estimate(0.4, 0.7, 0.5, 0)
 
 
 def test_interferer_field_empty_and_mean(table_params, rng):
@@ -165,14 +140,20 @@ def test_link_success_sinr_arithmetic(table_params):
 
 
 def test_estimate_coverage_is_deterministic(table_params):
-    first = estimate_coverage(
-        table_params, 600, np.random.default_rng(42), batch_size=256
-    )
-    second = estimate_coverage(
-        table_params, 600, np.random.default_rng(42), batch_size=256
-    )
+    # 2049 trials: two batches, the second a ragged single trial.
+    first = estimate_coverage(table_params, 2049, np.random.default_rng(42))
+    second = estimate_coverage(table_params, 2049, np.random.default_rng(42))
     assert first == second
     assert 0.0 <= first.p_joint <= min(first.p_ul, first.p_dl)
+    # Batch b draws from child stream b, so 2049 trials are a lone batch of
+    # 2048 plus one trial drawn from the second child.
+    whole = estimate_coverage(table_params, 2048, np.random.default_rng(42))
+    ragged = _coverage_batch(table_params, 1, np.random.default_rng(42).spawn(2)[1])
+
+    def counts(est):
+        return [round(p * est.trials) for p in (est.p_joint, est.p_dl, est.p_ul)]
+
+    assert counts(first) == [a + b for a, b in zip(counts(whole), ragged)]
     with pytest.raises(ValueError):
         estimate_coverage(table_params, 0, np.random.default_rng(0))
 
