@@ -8,16 +8,19 @@ of the aggregate interference, evaluated at positive arguments
 s = j*eta_z*tau / (P * G0 * (r^2+h^2)^(-alpha_z/2)) (`laplace_arguments`).
 
 Both transforms are built from one per-interferer kernel
-kappa(s, d) = E[exp(-s * P * G * H * (d^2+h^2)^(-alpha/2))], the
-LOS/NLOS mix, taken at the interferer's horizontal distance d, of the
+kappa(s, g) = E[exp(-s * P * G * H * (g^2+h^2)^(-alpha/2))], the
+LOS/NLOS mix, taken at the interferer's horizontal distance g, of the
 gain- and fading-averaged interference term (`_deficit` returns 1 - kappa).
-The downlink interferers are the other cluster heads, so the kernel is
-evaluated at each head's own distance q; on the uplink the interferer is a
-device of the cluster at q, so the kernel is averaged over that member's
-position with the densities of `geometry`. Either way
-L(s) = exp(-2*pi*lambda * integral of (1 - kappa) q dq), a nested integral
-with no closed form, evaluated here with batched adaptive quadrature and
-truncated at a configurable radius.
+Either transform is L(s) = exp(-2*pi*lambda * integral of
+(1 - kappa(s, g)) w(g) dg), one integral of the kernel against a distance
+weight that does not depend on s. The downlink interferers are the other
+cluster heads, so w(g) = g up to the truncation radius T. On the uplink
+the interferer is a device uniform on the disk of the cluster at q, and
+swapping the order of integration gives w(g) = integral over q <= T of
+f(g|q) q dq with the member density f of `geometry`: by the displacement
+theorem that is g itself below T - R, with R the cluster radius, and only
+the edge band up to T + R needs a fixed-rule correction (`_member_weight`). The integral has no
+closed form; it is evaluated with batched adaptive quadrature.
 """
 from __future__ import annotations
 
@@ -26,7 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import GainPattern, LinkType, build_gain_pattern, link_params, los_probability
+from .channel import (
+    Direction,
+    GainPattern,
+    LinkType,
+    build_gain_pattern,
+    link_params,
+    los_probability,
+)
 from .geometry import arc_distance_pdf, serving_distance_pdf
 from .params import NetworkParams
 from .quadrature import integrate_batch
@@ -80,31 +90,12 @@ class QuadratureSpec:
             raise ValueError("truncation radius must exceed the cluster radius")
         return radius
 
-    def inner(self) -> "QuadratureSpec":
-        """Tighter spec for inner integrals so their noise stays below the
-        outer rule's error estimate."""
-        return QuadratureSpec(
-            rel_tol=max(self.rel_tol * 1e-2, 1e-13),
-            abs_tol=max(self.abs_tol * 1e-2, 1e-15),
-            truncation_radius=self.truncation_radius,
-            max_subdivisions=self.max_subdivisions,
-        )
-
 
 def eta(m: int) -> float:
     """Coefficient m*(m!)^(-1/m) of the exponential gamma-CCDF bound."""
     if not isinstance(m, int) or m < 1:
         raise ValueError("m must be a positive integer")
     return m * math.factorial(m) ** (-1.0 / m)
-
-
-def _as_argument_array(s):
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if s_arr.ndim != 1:
-        raise ValueError("Laplace arguments must be scalar or 1-D")
-    if np.any(s_arr < 0) or not np.all(np.isfinite(s_arr)):
-        raise ValueError("Laplace arguments must be finite and non-negative")
-    return s_arr, np.isscalar(s) or np.ndim(s) == 0
 
 
 def _gain_mix(x: np.ndarray, m: np.ndarray, pattern: GainPattern) -> np.ndarray:
@@ -135,70 +126,68 @@ def _deficit(s, d, power: float, params: NetworkParams, pattern: GainPattern):
     ) + (1.0 - p_l) * class_deficit(params.alpha_nlos, float(params.m_nlos))
 
 
-def _member_deficit(
-    s: np.ndarray,
-    q: np.ndarray,
-    params: NetworkParams,
-    pattern: GainPattern,
-    quad: QuadratureSpec,
-) -> np.ndarray:
-    """1 - kappa averaged over the transmitting member of a cluster at q.
+#: Gauss-Legendre rule of the edge-band correction in `_member_weight`.
+_EDGE_NODES, _EDGE_WEIGHTS = np.polynomial.legendre.leggauss(48)
 
-    The member is uniform on the cluster disk, so its distance g from the
-    origin has the conditional density of `geometry`: an arc piece on
-    |R - q| <= g <= R + q plus, when q < R, the in-disk piece 2g/R^2 on
-    g < R - q. The arc piece uses a sin^2 substitution that removes the
-    square-root endpoint behavior of the arccos factor.
+
+def _member_weight(g: np.ndarray, radius: float, trunc: float) -> np.ndarray:
+    """Distance weight w(g) of the uplink interferers.
+
+    w(g) = integral over q in [0, T] of f(g|q) q dq, where f(g|q) is the
+    density of the distance g of a device uniform on the disk of radius R
+    about a head at q, and T is the truncation radius of the heads. Over
+    all q the integral is g (the displaced heads are again a PPP of the
+    same density), and a head beyond T reaches only g > T - R, so
+    w(g) = g - integral over q in [T, g + R] of arc(g|q) q dq, which is g
+    itself on [0, T - R] and falls to 0 at T + R. The correction uses a
+    sin^2 substitution that removes the square-root behavior of the arccos
+    factor at the ends of its support.
     """
-    radius = params.cluster_radius
-    lo = np.abs(q - radius)
-    span = q + radius - lo
-    inner_quad = quad.inner()
-
-    def arc_integrand(theta, own):
-        g = lo[own] + span[own] * np.sin(theta) ** 2
-        jacobian = span[own] * np.sin(2.0 * theta)
-        density = arc_distance_pdf(g, q[own], radius)
-        return _deficit(s[own], g, params.p_device, params, pattern) * density * jacobian
-
-    def disk_integrand(g, own):
-        density = serving_distance_pdf(g, radius)
-        return _deficit(s[own], g, params.p_device, params, pattern) * density
-
-    def integrate(integrand, upper):
-        return integrate_batch(
-            integrand,
-            np.zeros(q.size),
-            upper,
-            rel_tol=inner_quad.rel_tol,
-            abs_tol=inner_quad.abs_tol,
-            max_subdivisions=inner_quad.max_subdivisions,
-        )
-
-    # At q = 0 the arc support is empty (span == 0 flags it as a zero
-    # integral) and the disk piece alone carries the normalization; for
-    # q >= R the disk piece is empty instead.
-    arc = integrate(arc_integrand, np.where(span > 0, math.pi / 2.0, 0.0))
-    return arc + integrate(disk_integrand, radius - q)
+    out = g.copy()
+    band = g > trunc - radius
+    gb = g[band][:, None]
+    span = gb + radius - trunc
+    theta = 0.25 * math.pi * (_EDGE_NODES + 1.0)
+    q = trunc + span * np.sin(theta) ** 2
+    jacobian = span * np.sin(2.0 * theta)
+    lost = (arc_distance_pdf(gb, q, radius) * q * jacobian) @ _EDGE_WEIGHTS
+    out[band] -= 0.25 * math.pi * lost
+    return out
 
 
-def _spatial_transform(integrand, lower, upper, n, params, quad):
-    """exp(-2*pi*lambda * sum of the integrals of ``integrand``) per argument.
+def _spatial_transform(s, power, weight, breaks, params, quad):
+    """exp(-2*pi*lambda * integral of (1 - kappa(s, g)) weight(g) dg).
 
-    The integrals are laid out piece-major: integral ``i*n + k`` is piece
-    ``i`` of argument ``k``.
+    The interferers transmit with ``power`` and their horizontal distance g
+    carries ``weight(g)``. The integral runs over the pieces between
+    consecutive ``breaks``, laid out piece-major (integral ``i*n + k`` is
+    piece ``i`` of argument ``k``). Accepts a scalar or a 1-D array of
+    arguments.
     """
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    if s_arr.ndim != 1:
+        raise ValueError("Laplace arguments must be scalar or 1-D")
+    if np.any(s_arr < 0) or not np.all(np.isfinite(s_arr)):
+        raise ValueError("Laplace arguments must be finite and non-negative")
+    pattern = build_gain_pattern(params)
+    n = s_arr.size
+    s_own = np.tile(s_arr, len(breaks) - 1)
+
+    def integrand(g, own):
+        return _deficit(s_own[own], g, power, params, pattern) * weight(g)
+
     vals = integrate_batch(
         integrand,
-        lower,
-        upper,
+        np.repeat(breaks[:-1], n),
+        np.repeat(breaks[1:], n),
         rel_tol=quad.rel_tol,
         # The integral enters the exponent scaled by 2*pi*lam, so absolute
         # accuracy on the transform needs only abs_tol / (2*pi*lam) here.
         abs_tol=quad.abs_tol / (2.0 * math.pi * params.lam),
         max_subdivisions=quad.max_subdivisions,
     )
-    return np.exp(-2.0 * math.pi * params.lam * vals.reshape(-1, n).sum(axis=0))
+    out = np.exp(-2.0 * math.pi * params.lam * vals.reshape(-1, n).sum(axis=0))
+    return float(out[0]) if np.ndim(s) == 0 else out
 
 
 def laplace_dl(s, params: NetworkParams, quad: QuadratureSpec | None = None):
@@ -206,49 +195,34 @@ def laplace_dl(s, params: NetworkParams, quad: QuadratureSpec | None = None):
 
     Interferers are the other cluster heads (a PPP of density lambda seen
     from the typical cluster's head at the origin), each contributing the
-    kernel at its own distance. Accepts a scalar or a 1-D array of
-    arguments; the radial integral is truncated at the spec's truncation
-    radius.
+    kernel at its own distance, out to the spec's truncation radius.
     """
     quad = quad or QuadratureSpec()
-    s_arr, scalar = _as_argument_array(s)
     trunc = quad.resolve_truncation(params)
-    pattern = build_gain_pattern(params)
-    n = s_arr.size
-
-    def integrand(q, own):
-        return _deficit(s_arr[own], q, params.p_uav, params, pattern) * q
-
-    out = _spatial_transform(integrand, np.zeros(n), np.full(n, trunc), n, params, quad)
-    return float(out[0]) if scalar else out
+    return _spatial_transform(s, params.p_uav, lambda q: q, [0.0, trunc], params, quad)
 
 
 def laplace_ul(s, params: NetworkParams, quad: QuadratureSpec | None = None):
     """Laplace transform of the inter-cluster uplink interference.
 
     One device per interfering cluster transmits (the scheduling scheme
-    leaves a single active device per resource block), so each cluster
-    contributes the kernel averaged over its member's position, with the
-    LOS/NLOS mix taken at the member's own distance: the exact law, which
-    the Monte-Carlo field matches. The radial integral splits at the
-    cluster radius, where the member density changes form.
+    leaves a single active device per resource block), uniform on the disk
+    of a head within the truncation radius, with the LOS/NLOS mix taken at
+    the device's own distance: the exact law, which the Monte-Carlo field
+    matches. The integral splits where the weight `_member_weight` leaves
+    its linear part.
     """
     quad = quad or QuadratureSpec()
-    s_arr, scalar = _as_argument_array(s)
     trunc = quad.resolve_truncation(params)
-    pattern = build_gain_pattern(params)
     radius = params.cluster_radius
-    n = s_arr.size
-    # Owner layout: [overlap x s, far x s].
-    s_own = np.tile(s_arr, 2)
-    lower = np.repeat([0.0, radius], n)
-    upper = np.repeat([radius, trunc], n)
-
-    def integrand(q, own):
-        return _member_deficit(s_own[own], q, params, pattern, quad) * q
-
-    out = _spatial_transform(integrand, lower, upper, n, params, quad)
-    return float(out[0]) if scalar else out
+    return _spatial_transform(
+        s,
+        params.p_device,
+        lambda g: _member_weight(g, radius, trunc),
+        [0.0, trunc - radius, trunc + radius],
+        params,
+        quad,
+    )
 
 
 @dataclass(frozen=True)
@@ -300,21 +274,24 @@ class AverageSuccess:
 
 
 def laplace_arguments(
-    params: NetworkParams, r_k, direction: str, link: LinkType
+    params: NetworkParams, r_k, direction: Direction | str, link: LinkType
 ) -> np.ndarray:
     """Arguments s_j = j*eta_z*tau*(r^2+h^2)^(alpha_z/2)/(P*G0), j=1..m_z.
 
     These are the points at which the binomial expansion of the success
     factor evaluates the interference Laplace transform; the closed form
-    and the validation harness both take them from here. A scalar ``r_k``
-    gives shape (m_z,), an array of n distances shape (m_z, n).
+    and the validation harness both take them from here. ``direction`` is
+    a `Direction` or its value. A scalar ``r_k`` gives shape (m_z,), an
+    array of n distances shape (m_z, n).
     """
-    if direction == "dl":
+    try:
+        direction = Direction(direction)
+    except ValueError:
+        raise ValueError("direction must be 'dl' or 'ul'") from None
+    if direction is Direction.DL:
         tau, power = params.tau_dl, params.p_uav
-    elif direction == "ul":
-        tau, power = params.tau_ul, params.p_device
     else:
-        raise ValueError("direction must be 'dl' or 'ul'")
+        tau, power = params.tau_ul, params.p_device
     alpha, m = link_params(params, link)
     path_loss = (r_k**2 + params.height**2) ** (alpha / 2.0)
     base = eta(m) * tau * path_loss / (power * params.g0)
@@ -325,14 +302,15 @@ def _success_factors(
     r_arr: np.ndarray,
     params: NetworkParams,
     quad: QuadratureSpec,
-    direction: str,
+    direction: Direction | str,
 ) -> dict[LinkType, np.ndarray]:
     """Binomial-sum success factor of one link direction, per serving class.
 
     F_z(r) = sum_j C(m_z, j) (-1)^(j+1) exp(-s_j n0^2) L(s_j) with the
     arguments s_j of `laplace_arguments`.
     """
-    transform = laplace_dl if direction == "dl" else laplace_ul
+    direction = Direction(direction)
+    transform = laplace_dl if direction is Direction.DL else laplace_ul
     out: dict[LinkType, np.ndarray] = {}
     for z in (LinkType.LOS, LinkType.NLOS):
         s_all = laplace_arguments(params, r_arr, direction, z)
@@ -358,8 +336,8 @@ def _mixed_success(r_arr: np.ndarray, params: NetworkParams, quad: QuadratureSpe
     factors are DL x UL products, and the joint and per-link values mix the
     classes with the serving link's LOS probability.
     """
-    f_dl = _success_factors(r_arr, params, quad, "dl")
-    f_ul = _success_factors(r_arr, params, quad, "ul")
+    f_dl = _success_factors(r_arr, params, quad, Direction.DL)
+    f_ul = _success_factors(r_arr, params, quad, Direction.UL)
     p_los = np.atleast_1d(
         los_probability(r_arr, params.height, params.env_a, params.env_b)
     )

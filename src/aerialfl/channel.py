@@ -72,10 +72,6 @@ class GainPattern:
         if float(self.gains[0]) < float(self.gains.max()):
             raise ValueError("first entry must be the boresight (maximum) gain")
 
-    @property
-    def mean_gain(self) -> float:
-        return float(self.gains @ self.probs)
-
 
 def build_gain_pattern(params: NetworkParams) -> GainPattern:
     """Four-level interferer gain distribution from lobe gains and beamwidths."""

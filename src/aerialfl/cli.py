@@ -46,7 +46,7 @@ from .analytic import (
     laplace_dl,
     laplace_ul,
 )
-from .channel import LinkType
+from .channel import Direction, LinkType
 from .data import DataBundle, load_mnist, synthetic_blobs
 from .fl import AggregatorKind, TrainConfig, TrainResult, train
 from .montecarlo import binomial_half_width, estimate_coverage, laplace_oracle
@@ -213,6 +213,8 @@ def load_config(path: Path | None, args: argparse.Namespace) -> ExperimentConfig
         raise SystemExit(
             f"subcommand '{command}' sweeps '{sweep_name}', not '{name}'"
         )
+    if sweep_name != "none" and not values:
+        raise SystemExit(f"subcommand '{command}' needs at least one sweep value")
 
     # Training never reads trials; pinning it keeps equal runs' hashes equal.
     trials = DEFAULT_TRIALS if training_command else setting("trials", DEFAULT_TRIALS)
@@ -317,11 +319,11 @@ def _train_points(cfg: ExperimentConfig) -> list[GridPoint]:
 
 
 def _epoch_points(cfg: ExperimentConfig) -> list[GridPoint]:
-    epochs = sorted(int(e) for e in cfg.sweep_values)
-    if any(e < 1 for e in epochs):
-        raise SystemExit("epoch values must be >= 1")
+    epochs = cfg.sweep_values
+    if any(not isinstance(e, int) or isinstance(e, bool) or e < 1 for e in epochs):
+        raise SystemExit("epoch values must be integers >= 1")
     return [((e,), f" (E={e})", cfg.network, dataclasses.replace(cfg.train, epochs=e))
-            for e in epochs]
+            for e in sorted(epochs)]
 
 
 def _height_points(cfg: ExperimentConfig) -> list[GridPoint]:
@@ -403,7 +405,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     trials = cfg.trials
     failures = 0
     r_k = 50.0
-    transforms = {"dl": laplace_dl, "ul": laplace_ul}
+    transforms = {Direction.DL: laplace_dl, Direction.UL: laplace_ul}
     counter = 0
     for h in cfg.sweep_values:
         params = cfg.network.with_(height=float(h))
@@ -429,7 +431,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
                         detail = f"|diff|={abs(closed - mc):.2e} (noise floor)"
                     failures += 0 if ok else 1
                     print(
-                        f"laplace_{direction} h={h:g} {link.name} j={j}: "
+                        f"laplace_{direction.value} h={h:g} {link.name} j={j}: "
                         f"closed={closed:.6f} oracle={mc:.6f} {detail} "
                         f"{'OK' if ok else 'FAIL'}"
                     )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["QuadratureError", "integrate", "integrate_batch"]
+__all__ = ["QuadratureError", "integrate_batch"]
 
 
 class QuadratureError(RuntimeError):
@@ -160,23 +160,3 @@ def integrate_batch(
         val = np.concatenate([val[keep], new_val])
         err = np.concatenate([err[keep], new_err])
 
-
-def integrate(
-    f,
-    lower: float,
-    upper: float,
-    *,
-    rel_tol: float = 1e-8,
-    abs_tol: float = 1e-12,
-    max_subdivisions: int = 512,
-) -> float:
-    """Adaptively integrate a vectorized scalar-parameter integrand."""
-    out = integrate_batch(
-        lambda x, _own: f(x),
-        np.array([lower]),
-        np.array([upper]),
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-        max_subdivisions=max_subdivisions,
-    )
-    return float(out[0])

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from aerialfl import analytic
 from aerialfl.analytic import (
@@ -17,7 +18,8 @@ from aerialfl.analytic import (
     laplace_ul,
     success_profiles,
 )
-from aerialfl.channel import LinkType, build_gain_pattern, link_params
+from aerialfl.channel import Direction, LinkType, build_gain_pattern, link_params
+from aerialfl.geometry import arc_distance_pdf, conditional_distance_pdf, serving_distance_pdf
 from aerialfl.params import NetworkParams
 from aerialfl.quadrature import integrate_batch
 
@@ -129,10 +131,76 @@ def test_sparse_network_has_unit_laplace(table_params, fast_quad):
     assert laplace_ul(s_ul, sparse, pinned) == pytest.approx(1.0, abs=1e-9)
 
 
+def _nested_member_deficit(s, q, params, pattern, quad):
+    """1 - kappa averaged over the transmitting member of a cluster at q.
+
+    The inner integral of the nested uplink form, kept here as the
+    reference for `analytic._member_weight`. The member's distance g has
+    the density of `geometry`: an arc piece on |R - q| <= g <= R + q plus,
+    when q < R, the in-disk piece 2g/R^2 on g < R - q. The arc piece uses a
+    sin^2 substitution that removes the square-root endpoint behavior of
+    the arccos factor. Its tolerances are tighter than ``quad``'s so that
+    its noise stays below the outer rule's error estimate.
+    """
+    radius = params.cluster_radius
+    lo = np.abs(q - radius)
+    span = q + radius - lo
+
+    def arc_integrand(theta, own):
+        g = lo[own] + span[own] * np.sin(theta) ** 2
+        jacobian = span[own] * np.sin(2.0 * theta)
+        density = arc_distance_pdf(g, q[own], radius)
+        return analytic._deficit(s[own], g, params.p_device, params, pattern) * density * jacobian
+
+    def disk_integrand(g, own):
+        density = serving_distance_pdf(g, radius)
+        return analytic._deficit(s[own], g, params.p_device, params, pattern) * density
+
+    def integrate(integrand, upper):
+        return integrate_batch(
+            integrand,
+            np.zeros(q.size),
+            upper,
+            rel_tol=max(quad.rel_tol * 1e-2, 1e-13),
+            abs_tol=max(quad.abs_tol * 1e-2, 1e-15),
+            max_subdivisions=quad.max_subdivisions,
+        )
+
+    # At q = 0 the arc support is empty (span == 0 flags it as a zero
+    # integral) and the disk piece alone carries the normalization; for
+    # q >= R the disk piece is empty instead.
+    arc = integrate(arc_integrand, np.where(span > 0, math.pi / 2.0, 0.0))
+    return arc + integrate(disk_integrand, radius - q)
+
+
+def _nested_laplace_ul(s, params, quad):
+    """The uplink transform as a radial integral over the heads' distance q
+    of the member-averaged kernel, split at the cluster radius where the
+    member density changes form."""
+    s = np.asarray(s, dtype=float)
+    n = s.size
+    trunc = quad.resolve_truncation(params)
+    pattern = build_gain_pattern(params)
+    s_own = np.tile(s, 2)
+
+    def integrand(q, own):
+        return _nested_member_deficit(s_own[own], q, params, pattern, quad) * q
+
+    vals = integrate_batch(
+        integrand,
+        np.repeat([0.0, params.cluster_radius], n),
+        np.repeat([params.cluster_radius, trunc], n),
+        rel_tol=quad.rel_tol,
+        abs_tol=quad.abs_tol / (2.0 * math.pi * params.lam),
+        max_subdivisions=quad.max_subdivisions,
+    )
+    return np.exp(-2.0 * math.pi * params.lam * vals.reshape(2, n).sum(axis=0))
+
+
 def _member_and_point_deficits(params, quad, s, q):
     pattern = build_gain_pattern(params)
     s, q = np.atleast_1d(s).astype(float), np.atleast_1d(q).astype(float)
-    member = analytic._member_deficit(s, q, params, pattern, quad)
+    member = _nested_member_deficit(s, q, params, pattern, quad)
     point = analytic._deficit(s, q, params.p_device, params, pattern)
     return member, point
 
@@ -180,6 +248,52 @@ def test_member_deficit_integrates_a_unit_density(table_params, fast_quad):
     np.testing.assert_allclose(member, 1.0, rtol=1e-6)
 
 
+@pytest.mark.parametrize("scale", [None, 1.05])
+def test_member_weight_is_linear_below_the_edge_band(table_params, scale):
+    """w(g) = g up to T - R, continuous there, and 0 at T + R, both at the
+    default truncation and at one barely beyond the cluster radius."""
+    radius = table_params.cluster_radius
+    trunc = radius * scale if scale else QuadratureSpec().resolve_truncation(table_params)
+    edge = trunc - radius
+    inside = np.linspace(0.0, edge, 101)
+    np.testing.assert_array_equal(analytic._member_weight(inside, radius, trunc), inside)
+    near = analytic._member_weight(np.array([edge * (1.0 + 1e-9) + 1e-9]), radius, trunc)
+    assert near[0] == pytest.approx(edge, rel=1e-8, abs=1e-8)
+    far = analytic._member_weight(np.array([trunc + radius]), radius, trunc)
+    assert far[0] == pytest.approx(0.0, abs=1e-9 * trunc)
+
+
+@pytest.mark.parametrize("scale", [None, 1.05])
+def test_member_weight_matches_the_inner_integral(table_params, scale):
+    """In the edge band, w(g) is the integral of the member density times q
+    over the heads inside the truncation radius, here by scipy."""
+    radius = table_params.cluster_radius
+    trunc = radius * scale if scale else QuadratureSpec().resolve_truncation(table_params)
+    g = trunc - radius + 2.0 * radius * np.array([0.01, 0.3, 0.5, 0.77, 0.99])
+    weights = analytic._member_weight(g, radius, trunc)
+    for gi, wi in zip(g, weights):
+        oracle, _ = scipy.integrate.quad(
+            lambda q: conditional_distance_pdf(gi, q, radius) * q,
+            0.0, trunc, points=[abs(radius - gi)],
+            epsabs=1e-12, epsrel=1e-12, limit=200,
+        )
+        assert wi == pytest.approx(oracle, rel=1e-9, abs=1e-9 * gi)
+
+
+@pytest.mark.parametrize("height, scale", [(45.0, None), (120.0, None), (120.0, 1.05)])
+def test_laplace_ul_matches_the_nested_form(table_params, height, scale):
+    """Swapping the order of integration changes no uplink value."""
+    params = table_params.with_(height=height)
+    quad = QuadratureSpec(truncation_radius=scale * params.cluster_radius if scale else None)
+    s = np.concatenate([
+        laplace_arguments(params, np.array([5.0, 50.0, 99.0]), "ul", link).ravel()
+        for link in (LinkType.LOS, LinkType.NLOS)
+    ])
+    np.testing.assert_allclose(
+        laplace_ul(s, params, quad), _nested_laplace_ul(s, params, quad), rtol=1e-10
+    )
+
+
 def test_laplace_arguments_shape_and_scaling(table_params):
     for direction, tau, power in (
         ("dl", table_params.tau_dl, table_params.p_uav),
@@ -205,6 +319,15 @@ def test_laplace_arguments_shape_and_scaling(table_params):
                 np.testing.assert_array_equal(
                     grid[:, i], laplace_arguments(table_params, float(r), direction, link)
                 )
+
+
+def test_laplace_arguments_take_a_direction_or_its_value(table_params):
+    for direction in Direction:
+        for link in (LinkType.LOS, LinkType.NLOS):
+            np.testing.assert_array_equal(
+                laplace_arguments(table_params, 50.0, direction, link),
+                laplace_arguments(table_params, 50.0, direction.value, link),
+            )
 
 
 def test_laplace_arguments_rejects_unknown_direction(table_params):

@@ -54,7 +54,7 @@ def test_gain_pattern_structure(table_params):
     fd = table_params.beamwidth_device / (2 * math.pi)
     mean_u = fu * table_params.gain_main_uav + (1 - fu) * table_params.gain_side_uav
     mean_d = fd * table_params.gain_main_device + (1 - fd) * table_params.gain_side_device
-    assert pattern.mean_gain == pytest.approx(mean_u * mean_d, rel=1e-12)
+    assert pattern.gains @ pattern.probs == pytest.approx(mean_u * mean_d, rel=1e-12)
 
 
 def test_worked_link_budget_example(table_params):

@@ -362,3 +362,25 @@ def test_validate_smoke_passes(tmp_path, capfd):
     assert code == 0
     assert out.count("laplace_dl") == 4  # j = 1..3 LOS, j = 1 NLOS
     assert out.count("laplace_ul") == 4
+
+
+@pytest.mark.parametrize(
+    "command", ["coverage", "sweep-e", "sweep-height", "env-compare", "validate"]
+)
+def test_empty_sweep_is_rejected(tmp_path, command):
+    # Zero grid points would print PASS or write a header-only CSV and exit 0.
+    config = _write_config(tmp_path / "cfg.yaml", {"sweep": {"values": []}})
+    with pytest.raises(SystemExit, match="at least one sweep value"):
+        main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, "2", True, 0])
+def test_epoch_sweep_rejects_non_integer_epochs(tmp_path, bad):
+    # E=2.5 used to train E=2 and write "2" while the hash recorded 2.5.
+    config = _write_config(
+        tmp_path / "cfg.yaml", {"sweep": {"values": [1, bad]}, **SMALL_DATA}
+    )
+    with pytest.raises(SystemExit, match="integers >= 1"):
+        main(["sweep-e", "--config", str(config), "--rounds", "0",
+              "--out", str(tmp_path / "out")])

@@ -75,7 +75,7 @@ def test_interferer_field_empty_and_mean(table_params, rng):
     per = p_los * d3sq ** (-table_params.alpha_los / 2) + (1 - p_los) * d3sq ** (
         -table_params.alpha_nlos / 2
     )
-    expected = table_params.p_uav * pattern.mean_gain * per.sum()
+    expected = table_params.p_uav * (pattern.gains @ pattern.probs) * per.sum()
     owners = 4000
     draws = _interferer_field(
         np.tile(distances, owners), np.repeat(np.arange(owners), distances.size),

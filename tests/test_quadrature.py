@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aerialfl import QuadratureError
-from aerialfl.quadrature import integrate, integrate_batch
+from aerialfl.quadrature import integrate_batch
 
 
 @pytest.mark.parametrize(
@@ -21,7 +21,9 @@ from aerialfl.quadrature import integrate, integrate_batch
     ],
 )
 def test_integrate_matches_scipy(f, lo, hi):
-    ours = integrate(f, lo, hi, rel_tol=1e-10, abs_tol=1e-13)
+    ours = integrate_batch(
+        lambda x, _own: f(x), np.array([lo]), np.array([hi]), rel_tol=1e-10, abs_tol=1e-13
+    )[0]
     oracle, _ = scipy.integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=500)
     assert ours == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
@@ -36,8 +38,8 @@ def test_batch_matches_scalar_loop():
     upper = np.full_like(rates, 40.0)
     batch = integrate_batch(f, lower, upper, rel_tol=1e-10, abs_tol=1e-13)
     singles = [
-        integrate(lambda x, r=r: np.exp(-r * x), 0.0, 40.0,
-                  rel_tol=1e-10, abs_tol=1e-13)
+        integrate_batch(lambda x, _own, r=r: np.exp(-r * x), np.zeros(1),
+                        np.full(1, 40.0), rel_tol=1e-10, abs_tol=1e-13)[0]
         for r in rates
     ]
     np.testing.assert_allclose(batch, singles, rtol=1e-12)
@@ -54,10 +56,10 @@ def test_degenerate_interval_is_zero():
 
 def test_blowup_raises_quadrature_error():
     with pytest.raises(QuadratureError):
-        integrate(
-            lambda x: np.sin(1e4 * x),
-            0.0,
-            1000.0,
+        integrate_batch(
+            lambda x, _own: np.sin(1e4 * x),
+            np.zeros(1),
+            np.full(1, 1000.0),
             rel_tol=1e-14,
             abs_tol=1e-16,
             max_subdivisions=4,
@@ -66,7 +68,7 @@ def test_blowup_raises_quadrature_error():
 
 def test_nonfinite_integrand_raises():
     with np.errstate(divide="ignore"), pytest.raises(QuadratureError):
-        integrate(lambda x: 1.0 / (x - 0.5), 0.0, 1.0)
+        integrate_batch(lambda x, _own: 1.0 / (x - 0.5), np.zeros(1), np.ones(1))
 
 
 @settings(max_examples=50, deadline=None)
@@ -81,7 +83,9 @@ def test_polynomials_integrate_exactly(coeffs, lo, width):
     poly = np.polynomial.Polynomial(coeffs)
     antider = poly.integ()
     hi = lo + width
-    ours = integrate(poly, lo, hi, rel_tol=1e-12, abs_tol=1e-12)
+    ours = integrate_batch(
+        lambda x, _own: poly(x), np.array([lo]), np.array([hi]), rel_tol=1e-12, abs_tol=1e-12
+    )[0]
     truth = antider(hi) - antider(lo)
     assert ours == pytest.approx(truth, rel=1e-10, abs=1e-9)
 
