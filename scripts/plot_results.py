@@ -24,22 +24,23 @@ def read_rows(path: Path) -> tuple[list[str], list[dict[str, str]]]:
     return list(reader.fieldnames or []), list(reader)
 
 
+def column(rows: list[dict[str, str]], name: str) -> list[float]:
+    """Values of one column; an empty cell (a failed height) plots as NaN."""
+    return [float(r[name]) if r[name] else float("nan") for r in rows]
+
+
 def plot_coverage(path: Path, out_dir: Path, plt) -> None:
     _, rows = read_rows(path)
-    h = [float(r["h"]) for r in rows]
+    h = column(rows, "h")
     fig, ax = plt.subplots()
-    for column, label in (
+    for name, label in (
         ("analytic_joint", "joint (analytic)"),
         ("analytic_ul", "UL (analytic)"),
         ("analytic_dl", "DL (analytic)"),
     ):
-        ax.plot(h, [float(r[column]) for r in rows], label=label)
+        ax.plot(h, column(rows, name), label=label)
     if any(r["mc_joint"] for r in rows):
-        ax.plot(
-            h,
-            [float(r["mc_joint"]) if r["mc_joint"] else float("nan") for r in rows],
-            "k.", label="joint (Monte-Carlo)",
-        )
+        ax.plot(h, column(rows, "mc_joint"), "k.", label="joint (Monte-Carlo)")
     ax.set_xlabel("UAV height h (m)")
     ax.set_ylabel("success probability")
     ax.legend()

@@ -141,17 +141,20 @@ def _member_weight(g: np.ndarray, radius: float, trunc: float) -> np.ndarray:
     w(g) = g - integral over q in [T, g + R] of arc(g|q) q dq, which is g
     itself on [0, T - R] and falls to 0 at T + R. The correction uses a
     sin^2 substitution that removes the square-root behavior of the arccos
-    factor at the ends of its support.
+    factor at the ends of its support. The adaptive outer rule revisits
+    the same band nodes for every argument and piece, so the correction
+    runs once per distinct node and is scattered back.
     """
     out = g.copy()
     band = g > trunc - radius
-    gb = g[band][:, None]
+    nodes, where = np.unique(g[band], return_inverse=True)
+    gb = nodes[:, None]
     span = gb + radius - trunc
     theta = 0.25 * math.pi * (_EDGE_NODES + 1.0)
     q = trunc + span * np.sin(theta) ** 2
     jacobian = span * np.sin(2.0 * theta)
     lost = (arc_distance_pdf(gb, q, radius) * q * jacobian) @ _EDGE_WEIGHTS
-    out[band] -= 0.25 * math.pi * lost
+    out[band] -= 0.25 * math.pi * lost[where]
     return out
 
 

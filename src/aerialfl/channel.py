@@ -1,4 +1,4 @@
-"""Air-to-ground channel model: LOS probability, antenna gain pattern, Nakagami CCDFs.
+"""Air-to-ground channel model: LOS probability, antenna gain pattern, Nakagami CCDF.
 
 Sampling interference and deciding link success lives in
 :mod:`aerialfl.montecarlo`.
@@ -104,21 +104,4 @@ def gamma_ccdf_exact(m: int, x):
         total = total + term
     # The series times exp(-mx) can overshoot 1 by an ulp near x = 0.
     out = np.minimum(np.exp(-mx) * total, 1.0)
-    return out if out.ndim else float(out)
-
-
-def gamma_ccdf_alzer(m: int, eta: float, x):
-    """Tight exponential-family bound 1 - (1 - e^(-eta*x))^m for the Gamma CCDF.
-
-    Exact for m = 1 with eta = 1; for larger m it is the approximation whose
-    binomial expansion makes the coverage expression tractable.
-    """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError("m must be a positive integer")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("x must be non-negative")
-    out = 1.0 - (1.0 - np.exp(-eta * x)) ** m
     return out if out.ndim else float(out)

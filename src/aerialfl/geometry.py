@@ -13,11 +13,6 @@ import numpy as np
 
 from .params import NetworkParams
 
-#: Tolerance for clamping the arccos argument at the support boundary of the
-#: conditional distance density; larger excursions indicate a caller bug.
-_ARCCOS_CLAMP = 1e-12
-
-
 def sample_ppp(lam: float, window_radius: float, rng: np.random.Generator) -> np.ndarray:
     """Sample a homogeneous Poisson point process on a disk at the origin.
 
@@ -57,59 +52,20 @@ def serving_distance_pdf(r, R: float):
     return out if out.ndim else float(out)
 
 
-def _arc_cosine(g, q, R: float):
-    """Cosine of the half-angle of the arc of the circle of radius ``g``
-    about the origin that lies inside the disk of radius ``R`` at ``q``."""
-    return (g * g + q * q - R * R) / (2.0 * g * q)
-
-
 def arc_distance_pdf(g, q, R: float):
-    """Arc piece of :func:`conditional_distance_pdf` on its support
-    ``|R - q| <= g <= R + q``, vectorized over matching ``g`` and ``q``.
+    """Density of the distance ``g`` from the origin to a device uniform on
+    the disk of radius ``R`` about a head at distance ``q``, on the arc part
+    of its support ``|R - q| <= g <= R + q``, vectorized over matching ``g``
+    and ``q``. Together with `serving_distance_pdf` on ``g < R - q`` (when
+    ``q < R``) it is the whole member distance density.
 
     Quadrature nodes can land within floating error of the support
     endpoints, so the arccos argument is clipped rather than rejected.
     """
-    ratio = np.clip(_arc_cosine(g, q, R), -1.0, 1.0)
+    # Cosine of the half-angle of the arc of the circle of radius g about
+    # the origin that lies inside the cluster disk.
+    ratio = np.clip((g * g + q * q - R * R) / (2.0 * g * q), -1.0, 1.0)
     return (2.0 * g / (math.pi * R**2)) * np.arccos(ratio)
-
-
-def conditional_distance_pdf(g, q: float, R: float):
-    """Density of the distance from the origin to a device of a cluster whose
-    head is at distance ``q``, for devices uniform on a disk of radius ``R``.
-
-    Piecewise: the arc-length term :func:`arc_distance_pdf` on
-    ``|R - q| <= g <= R + q`` plus, when the origin lies inside the cluster
-    disk (``q < R``), the plain uniform-disk term ``2g/R^2`` on
-    ``g < R - q``. Accepts scalar or array ``g``.
-    """
-    if R <= 0:
-        raise ValueError("cluster radius must be positive")
-    if q < 0:
-        raise ValueError("head distance q must be non-negative")
-    g = np.asarray(g, dtype=float)
-    if np.any(g < 0):
-        raise ValueError("distance g must be non-negative")
-
-    # Inner piece: full circles of radius g around the origin fit in the disk.
-    out = np.where(g < (R - q), serving_distance_pdf(g, R), 0.0)
-
-    # Arc piece: circles of radius g intersect the disk boundary.
-    arc = (g >= abs(R - q)) & (g <= R + q) & (g > 0) & (q > 0)
-    if np.any(arc):
-        ga = g[arc] if g.ndim else g
-        ratio = _arc_cosine(ga, q, R)
-        if np.any(np.abs(ratio) > 1.0 + _ARCCOS_CLAMP):
-            raise ValueError(
-                "arccos argument outside [-1, 1] beyond clamping tolerance; "
-                f"worst value {float(np.max(np.abs(ratio))):.17g}"
-            )
-        contrib = arc_distance_pdf(ga, q, R)
-        if g.ndim:
-            out[arc] += contrib
-        else:
-            out = out + contrib
-    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,10 @@ from aerialfl.analytic import (
     success_profiles,
 )
 from aerialfl.channel import Direction, LinkType, build_gain_pattern, link_params
-from aerialfl.geometry import arc_distance_pdf, conditional_distance_pdf, serving_distance_pdf
+from aerialfl.geometry import arc_distance_pdf, serving_distance_pdf
 from aerialfl.params import NetworkParams
 from aerialfl.quadrature import integrate_batch
+from test_geometry import conditional_distance_pdf
 
 
 def _reference_argument(params, r_k, direction, link):
@@ -248,12 +249,17 @@ def test_member_deficit_integrates_a_unit_density(table_params, fast_quad):
     np.testing.assert_allclose(member, 1.0, rtol=1e-6)
 
 
+def _radius_and_truncation(params, scale):
+    """Cluster radius and the default truncation, or ``scale`` radii."""
+    radius = params.cluster_radius
+    return radius, radius * scale if scale else QuadratureSpec().resolve_truncation(params)
+
+
 @pytest.mark.parametrize("scale", [None, 1.05])
 def test_member_weight_is_linear_below_the_edge_band(table_params, scale):
     """w(g) = g up to T - R, continuous there, and 0 at T + R, both at the
     default truncation and at one barely beyond the cluster radius."""
-    radius = table_params.cluster_radius
-    trunc = radius * scale if scale else QuadratureSpec().resolve_truncation(table_params)
+    radius, trunc = _radius_and_truncation(table_params, scale)
     edge = trunc - radius
     inside = np.linspace(0.0, edge, 101)
     np.testing.assert_array_equal(analytic._member_weight(inside, radius, trunc), inside)
@@ -267,8 +273,7 @@ def test_member_weight_is_linear_below_the_edge_band(table_params, scale):
 def test_member_weight_matches_the_inner_integral(table_params, scale):
     """In the edge band, w(g) is the integral of the member density times q
     over the heads inside the truncation radius, here by scipy."""
-    radius = table_params.cluster_radius
-    trunc = radius * scale if scale else QuadratureSpec().resolve_truncation(table_params)
+    radius, trunc = _radius_and_truncation(table_params, scale)
     g = trunc - radius + 2.0 * radius * np.array([0.01, 0.3, 0.5, 0.77, 0.99])
     weights = analytic._member_weight(g, radius, trunc)
     for gi, wi in zip(g, weights):
@@ -278,6 +283,61 @@ def test_member_weight_matches_the_inner_integral(table_params, scale):
             epsabs=1e-12, epsrel=1e-12, limit=200,
         )
         assert wi == pytest.approx(oracle, rel=1e-9, abs=1e-9 * gi)
+
+
+def _repeated_band_nodes(radius, trunc):
+    """Nodes below, at both ends of and inside the edge band, each repeated
+    and shuffled the way the outer rule revisits them across arguments."""
+    edge = trunc - radius
+    distinct = np.concatenate([
+        np.linspace(0.0, edge, 4),
+        edge + 2.0 * radius * np.array([1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9]),
+        [trunc + radius],
+    ])
+    repeats = [3, 1, 5, 2, 4, 1, 6, 2, 3, 4]
+    return np.random.default_rng(7).permutation(np.repeat(distinct, repeats))
+
+
+@pytest.mark.parametrize("scale", [None, 1.05])
+def test_member_weight_of_repeated_nodes_matches_their_distinct_values(table_params, scale):
+    """Repeats and their order change no bit of a node's weight.
+
+    A lone node agrees only to a few ulps of g: the BLAS matrix-vector
+    product sums a row differently depending on its position in the batch,
+    so the batch of the distinct nodes is the bitwise reference.
+    """
+    radius, trunc = _radius_and_truncation(table_params, scale)
+    g = _repeated_band_nodes(radius, trunc)
+    weights = analytic._member_weight(g, radius, trunc)
+    distinct, where = np.unique(g, return_inverse=True)
+    assert np.array_equal(weights, analytic._member_weight(distinct, radius, trunc)[where])
+    singles = np.concatenate(
+        [analytic._member_weight(g[i : i + 1], radius, trunc) for i in range(g.size)]
+    )
+    assert np.all(np.abs(weights - singles) <= 4.0 * np.spacing(g))
+
+
+def test_member_weight_below_the_band_is_a_copy(table_params):
+    radius, trunc = _radius_and_truncation(table_params, None)
+    g = np.linspace(0.0, trunc - radius, 7)
+    weights = analytic._member_weight(g, radius, trunc)
+    assert np.array_equal(weights, g)
+    assert not np.shares_memory(weights, g)
+
+
+@pytest.mark.parametrize("scale", [None, 1.05])
+def test_member_weight_corrects_each_distinct_band_node_once(table_params, scale, monkeypatch):
+    radius, trunc = _radius_and_truncation(table_params, scale)
+    g = _repeated_band_nodes(radius, trunc)
+    rows = []
+
+    def counting_pdf(gb, q, R):
+        rows.append(gb.shape[0])
+        return arc_distance_pdf(gb, q, R)
+
+    monkeypatch.setattr(analytic, "arc_distance_pdf", counting_pdf)
+    analytic._member_weight(g, radius, trunc)
+    assert rows == [np.unique(g[g > trunc - radius]).size]
 
 
 @pytest.mark.parametrize("height, scale", [(45.0, None), (120.0, None), (120.0, 1.05)])

@@ -5,11 +5,54 @@ import pytest
 
 from aerialfl import NetworkParams, Topology, sample_topology
 from aerialfl.geometry import (
-    conditional_distance_pdf,
+    arc_distance_pdf,
     sample_cluster,
     sample_ppp,
     serving_distance_pdf,
 )
+
+#: Tolerance for clamping the arccos argument at the support boundary of
+#: `conditional_distance_pdf`; larger excursions indicate a caller bug.
+_ARCCOS_CLAMP = 1e-12
+
+
+def conditional_distance_pdf(g, q: float, R: float):
+    """Density of the distance from the origin to a device of a cluster whose
+    head is at distance ``q``, for devices uniform on a disk of radius ``R``.
+
+    Piecewise: the arc-length term `arc_distance_pdf` on
+    ``|R - q| <= g <= R + q`` plus, when the origin lies inside the cluster
+    disk (``q < R``), the plain uniform-disk term ``2g/R^2`` on
+    ``g < R - q``. Accepts scalar or array ``g``. The oracle of the member
+    density here and of the uplink distance weight in ``test_analytic``.
+    """
+    if R <= 0:
+        raise ValueError("cluster radius must be positive")
+    if q < 0:
+        raise ValueError("head distance q must be non-negative")
+    g = np.asarray(g, dtype=float)
+    if np.any(g < 0):
+        raise ValueError("distance g must be non-negative")
+
+    # Inner piece: full circles of radius g around the origin fit in the disk.
+    out = np.where(g < (R - q), serving_distance_pdf(g, R), 0.0)
+
+    # Arc piece: circles of radius g intersect the disk boundary.
+    arc = (g >= abs(R - q)) & (g <= R + q) & (g > 0) & (q > 0)
+    if np.any(arc):
+        ga = g[arc] if g.ndim else g
+        ratio = (ga * ga + q * q - R * R) / (2.0 * ga * q)
+        if np.any(np.abs(ratio) > 1.0 + _ARCCOS_CLAMP):
+            raise ValueError(
+                "arccos argument outside [-1, 1] beyond clamping tolerance; "
+                f"worst value {float(np.max(np.abs(ratio))):.17g}"
+            )
+        contrib = arc_distance_pdf(ga, q, R)
+        if g.ndim:
+            out[arc] += contrib
+        else:
+            out = out + contrib
+    return out if out.ndim else float(out)
 
 
 def test_ppp_count_and_support(rng):
