@@ -6,7 +6,6 @@ from .analytic import (
     SuccessProfile,
     cluster_average_success,
     eta,
-    joint_success_probability,
     laplace_dl,
     laplace_ul,
     success_profiles,
@@ -67,7 +66,6 @@ __all__ = [
     "estimate_coverage",
     "eta",
     "global_loss",
-    "joint_success_probability",
     "laplace_dl",
     "laplace_oracle",
     "laplace_ul",

@@ -38,7 +38,7 @@ from .channel import (
     los_probability,
 )
 from .geometry import arc_distance_pdf, serving_distance_pdf
-from .params import NetworkParams
+from .params import NetworkParams, is_integer, require_integers
 from .quadrature import integrate_batch
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "eta",
     "laplace_dl",
     "laplace_ul",
-    "joint_success_probability",
     "cluster_average_success",
     "laplace_arguments",
     "success_profiles",
@@ -75,6 +74,7 @@ class QuadratureSpec:
     max_subdivisions: int = 512
 
     def __post_init__(self):
+        require_integers(self, "max_subdivisions")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.truncation_radius is not None and self.truncation_radius <= 0:
@@ -93,7 +93,7 @@ class QuadratureSpec:
 
 def eta(m: int) -> float:
     """Coefficient m*(m!)^(-1/m) of the exponential gamma-CCDF bound."""
-    if not isinstance(m, int) or m < 1:
+    if not is_integer(m) or m < 1:
         raise ValueError("m must be a positive integer")
     return m * math.factorial(m) ** (-1.0 / m)
 
@@ -386,20 +386,12 @@ def success_profiles(
     ]
 
 
-def joint_success_probability(
-    r_k: float, params: NetworkParams, quad: QuadratureSpec | None = None
-) -> SuccessProfile:
-    """Joint DL/UL success probability of a device served at distance r_k."""
-    if not isinstance(r_k, (int, float)) or not math.isfinite(r_k):
-        raise ValueError("serving distance must be a finite scalar")
-    return success_profiles(np.array([float(r_k)]), params, quad)[0]
+#: Gauss-Legendre nodes in r of `cluster_average_success`.
+_SERVING_NODES = 32
 
 
 def cluster_average_success(
-    params: NetworkParams,
-    quad: QuadratureSpec | None = None,
-    *,
-    n_nodes: int = 32,
+    params: NetworkParams, quad: QuadratureSpec | None = None
 ) -> AverageSuccess:
     """Success probabilities averaged over the serving-distance density.
 
@@ -408,10 +400,8 @@ def cluster_average_success(
     batched into single adaptive-quadrature runs.
     """
     quad = quad or QuadratureSpec()
-    if n_nodes < 2:
-        raise ValueError("need at least two averaging nodes")
     radius = params.cluster_radius
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = np.polynomial.legendre.leggauss(_SERVING_NODES)
     r_arr = 0.5 * radius * (x + 1.0)
     weights = 0.5 * radius * w * serving_distance_pdf(r_arr, radius)
     _, j_joint, j_los, j_nlos, j_dl, j_ul = _mixed_success(r_arr, params, quad)

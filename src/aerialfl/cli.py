@@ -50,7 +50,7 @@ from .channel import Direction, LinkType
 from .data import DataBundle, load_mnist, synthetic_blobs
 from .fl import AggregatorKind, TrainConfig, TrainResult, train
 from .montecarlo import binomial_half_width, estimate_coverage, laplace_oracle
-from .params import ENVIRONMENT_PRESETS, NetworkParams
+from .params import ENVIRONMENT_PRESETS, NetworkParams, is_integer, require_integers
 
 __all__ = [
     "ExperimentConfig",
@@ -110,6 +110,7 @@ class ExperimentConfig:
     dataset_seed: int
 
     def __post_init__(self) -> None:
+        require_integers(self, "trials", "seed", "n_train", "n_test", "dataset_seed")
         if self.trials < 0:
             raise ValueError("trials must be non-negative")
         if self.dataset not in ("synthetic", "mnist"):
@@ -195,7 +196,7 @@ def load_config(path: Path | None, args: argparse.Namespace) -> ExperimentConfig
         value = getattr(args, flag or key, None)
         return raw.get(key, default) if value is None else value
 
-    seed = int(setting("seed", 0))
+    seed = setting("seed", 0)
     train_section = _coerce_section(raw.get("train"), "train")
     train_section["seed"] = seed
     if getattr(args, "rounds", None) is not None:
@@ -230,14 +231,14 @@ def load_config(path: Path | None, args: argparse.Namespace) -> ExperimentConfig
         sweep_name=sweep_name,
         sweep_values=values,
         out_dir=Path(out_dir),
-        trials=int(trials),
+        trials=trials,
         seed=seed,
         dataset=str(setting("dataset", "synthetic")),
         mnist_dir=Path(mnist_dir) if mnist_dir is not None else None,
         aggregators=aggregators,
-        n_train=int(raw.get("n_train", DESK_SCALE_SAMPLES["n_train"])),
-        n_test=int(raw.get("n_test", DESK_SCALE_SAMPLES["n_test"])),
-        dataset_seed=int(raw.get("dataset_seed", 12345)),
+        n_train=raw.get("n_train", DESK_SCALE_SAMPLES["n_train"]),
+        n_test=raw.get("n_test", DESK_SCALE_SAMPLES["n_test"]),
+        dataset_seed=raw.get("dataset_seed", 12345),
     )
 
 
@@ -320,7 +321,7 @@ def _train_points(cfg: ExperimentConfig) -> list[GridPoint]:
 
 def _epoch_points(cfg: ExperimentConfig) -> list[GridPoint]:
     epochs = cfg.sweep_values
-    if any(not isinstance(e, int) or isinstance(e, bool) or e < 1 for e in epochs):
+    if any(not is_integer(e) or e < 1 for e in epochs):
         raise SystemExit("epoch values must be integers >= 1")
     return [((e,), f" (E={e})", cfg.network, dataclasses.replace(cfg.train, epochs=e))
             for e in sorted(epochs)]
@@ -383,11 +384,7 @@ def cmd_training(args: argparse.Namespace) -> int:
     for labels, note, network, train_cfg in points:
         for kind in cfg.aggregators:
             try:
-                result = train(
-                    train_cfg, network, kind,
-                    bundle.train_x, bundle.train_y, bundle.test_x, bundle.test_y,
-                    cfg.quad,
-                )
+                result = train(train_cfg, network, kind, bundle, cfg.quad)
             except Exception as exc:  # noqa: BLE001 - kind-level isolation
                 comments.append(f"partial-failure: kind={kind.value}: {exc}{note}")
             else:

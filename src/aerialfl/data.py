@@ -43,15 +43,13 @@ class DataBundle:
     def n_classes(self) -> int:
         return int(max(self.train_y.max(), self.test_y.max())) + 1
 
-    def limited(self, n_train: int | None, n_test: int | None) -> "DataBundle":
+    def limited(self, n_train: int, n_test: int) -> "DataBundle":
         """First-n subsets, for desk-scale runs."""
-        sl_tr = slice(None) if n_train is None else slice(n_train)
-        sl_te = slice(None) if n_test is None else slice(n_test)
         return DataBundle(
-            train_x=self.train_x[sl_tr],
-            train_y=self.train_y[sl_tr],
-            test_x=self.test_x[sl_te],
-            test_y=self.test_y[sl_te],
+            train_x=self.train_x[:n_train],
+            train_y=self.train_y[:n_train],
+            test_x=self.test_x[:n_test],
+            test_y=self.test_y[:n_test],
         )
 
 

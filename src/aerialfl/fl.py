@@ -22,10 +22,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .analytic import QuadratureSpec, SuccessProfile, success_profiles
+from .data import DataBundle
 from .geometry import sample_topology
 from .models import Model, build_model
 from .montecarlo import RoundChannel, realize_round
-from .params import NetworkParams
+from .params import NetworkParams, require_integers
 
 __all__ = [
     "AggregatorKind",
@@ -129,6 +130,9 @@ class TrainConfig:
     lr_decay: float = 0.0
 
     def __post_init__(self) -> None:
+        require_integers(
+            self, "epochs", "batch_size", "rounds", "seed", "shards_per_device"
+        )
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
@@ -220,14 +224,13 @@ def local_update(
     cfg: TrainConfig,
     rng: np.random.Generator,
     model: Model,
-    learning_rate: float | None = None,
+    learning_rate: float,
 ) -> ModelState:
     """Run ``cfg.epochs`` passes of minibatch SGD from the broadcast model.
 
     Minibatches are drawn by reshuffling the shard once per epoch; a ragged
     final batch is kept rather than dropped.
     """
-    lr = cfg.eta0 if learning_rate is None else learning_rate
     w = state.weights.copy()
     for _ in range(cfg.epochs):
         order = rng.permutation(data.n_k)
@@ -241,7 +244,7 @@ def local_update(
                     f"non-finite gradient on device {device_id} "
                     f"at round {state.round}"
                 )
-            w -= lr * grad
+            w -= learning_rate * grad
     return ModelState(weights=w, round=state.round)
 
 
@@ -316,10 +319,7 @@ def train(
     cfg: TrainConfig,
     params: NetworkParams,
     kind: AggregatorKind,
-    train_features: np.ndarray,
-    train_labels: np.ndarray,
-    test_features: np.ndarray,
-    test_labels: np.ndarray,
+    data: DataBundle,
     quad: QuadratureSpec | None = None,
 ) -> TrainResult:
     """Run a full federated experiment over a fixed sampled topology.
@@ -332,15 +332,13 @@ def train(
     and local updates, so aggregators can be compared pathwise.
     """
     model = build_model(
-        cfg.model,
-        n_features=train_features.shape[1],
-        n_classes=int(max(train_labels.max(), test_labels.max())) + 1,
+        cfg.model, n_features=data.n_features, n_classes=data.n_classes
     )
     topology = sample_topology(params, _stream(cfg.seed, _KEY_TOPOLOGY))
     profiles = success_profiles(topology.serving_distances, params, quad)
     partitions = partition_noniid(
-        train_features,
-        train_labels,
+        data.train_x,
+        data.train_y,
         params.n_devices,
         cfg.shards_per_device,
         _stream(cfg.seed, _KEY_PARTITION),
@@ -355,8 +353,8 @@ def train(
         return RoundMetrics(
             round=st.round,
             loss=global_loss(st, partitions, model),
-            train_accuracy=_accuracy(st, train_features, train_labels, model),
-            test_accuracy=_accuracy(st, test_features, test_labels, model),
+            train_accuracy=_accuracy(st, data.train_x, data.train_y, model),
+            test_accuracy=_accuracy(st, data.test_x, data.test_y, model),
         )
 
     records = [metrics(state)]

@@ -72,16 +72,10 @@ class RoundChannel:
     device_ids: np.ndarray
     dl_success: np.ndarray
     ul_success: np.ndarray
-    serving_distances: np.ndarray
 
     def __post_init__(self):
         n = self.device_ids.size
-        if not (
-            self.dl_success.shape
-            == self.ul_success.shape
-            == self.serving_distances.shape
-            == (n,)
-        ):
+        if not self.dl_success.shape == self.ul_success.shape == (n,):
             raise ValueError("per-device arrays must align with device_ids")
         if n != np.unique(self.device_ids).size:
             raise ValueError("scheduled device ids must be distinct")
@@ -305,5 +299,4 @@ def realize_round(
         device_ids=schedule.copy(),
         dl_success=dl_ok,
         ul_success=ul_ok,
-        serving_distances=r.copy(),
     )

@@ -17,6 +17,23 @@ def db_to_linear(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
 
 
+def is_integer(value) -> bool:
+    """True for an ``int`` that is not a ``bool``.
+
+    Integer settings use this one rule, so that ``1.7`` or ``True`` is an
+    error rather than being read as 1.
+    """
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def require_integers(obj, *names: str) -> None:
+    """Raise ``ValueError`` unless each named field of ``obj`` is an integer."""
+    for name in names:
+        value = getattr(obj, name)
+        if not is_integer(value):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 #: LOS-model environment constants (a, b): keyed by environment name.
 #: The (9.61, 0.16) pair used as the default corresponds to an urban
 #: environment; the other presets are the standard companion values for the
@@ -85,6 +102,7 @@ class NetworkParams:
     sim_window_radius: Optional[float] = None
 
     def __post_init__(self):
+        require_integers(self, "n_devices", "n_resource_blocks", "m_los", "m_nlos")
         if not all(
             math.isfinite(v)
             for v in (
@@ -109,9 +127,8 @@ class NetworkParams:
             raise ValueError("powers and noise must be positive")
         if self.alpha_los <= 2 or self.alpha_nlos <= 2:
             raise ValueError("path-loss exponents must exceed 2")
-        for m in (self.m_los, self.m_nlos):
-            if not isinstance(m, int) or m < 1:
-                raise ValueError("Nakagami m must be a positive integer")
+        if self.m_los < 1 or self.m_nlos < 1:
+            raise ValueError("Nakagami m must be a positive integer")
         if not (self.gain_main_uav >= self.gain_side_uav > 0):
             raise ValueError("UAV gains must satisfy M_u >= m_u > 0 (linear)")
         if not (self.gain_main_device >= self.gain_side_device > 0):

@@ -18,7 +18,6 @@ from aerialfl.analytic import (
     SuccessProfile,
     cluster_average_success,
     eta,
-    joint_success_probability,
     laplace_arguments,
     laplace_dl,
     laplace_ul,
@@ -110,15 +109,7 @@ def desk_runner(desk_bundle):
             epochs=epochs, batch_size=64, eta0=0.05, rounds=60, seed=seed
         )
         start = time.perf_counter()
-        result = train(
-            cfg,
-            params,
-            kind,
-            desk_bundle.train_x,
-            desk_bundle.train_y,
-            desk_bundle.test_x,
-            desk_bundle.test_y,
-        )
+        result = train(cfg, params, kind, desk_bundle)
         timings[(seed, kind.value, epochs, params.height, params.env_a)] = (
             time.perf_counter() - start
         )
@@ -259,8 +250,8 @@ def test_criterion_4_degenerate_identities():
     )
     sparse = params.with_(lam=1e-30)
     worst = 0.0
-    for r in radii:
-        got = joint_success_probability(float(r), sparse, pinned).j_joint
+    for r, profile in zip(radii, success_profiles(np.array(radii), sparse, pinned)):
+        got = profile.j_joint
         expected = _noise_only_joint(sparse, float(r))
         worst = max(worst, abs(got - expected))
         assert got == pytest.approx(expected, abs=1e-9)
@@ -299,7 +290,6 @@ def test_criterion_5_joint_aggregation_is_unbiased():
             device_ids=np.array([k]),
             dl_success=np.array([bool(ok)]),
             ul_success=np.array([True]),
-            serving_distances=np.array([10.0]),
         )
         updates = {int(k): v[int(k)]}
         for kind in sums:

@@ -12,7 +12,6 @@ from aerialfl.analytic import (
     SuccessProfile,
     cluster_average_success,
     eta,
-    joint_success_probability,
     laplace_arguments,
     laplace_dl,
     laplace_ul,
@@ -35,7 +34,7 @@ def test_eta_anchors():
     assert eta(3) == pytest.approx(1.650963624447314, rel=1e-14)
 
 
-@pytest.mark.parametrize("bad", [0, -1, 1.5, "3"])
+@pytest.mark.parametrize("bad", [0, -1, 1.5, "3", True])
 def test_eta_rejects_non_positive_integers(bad):
     with pytest.raises(ValueError):
         eta(bad)
@@ -425,7 +424,7 @@ def test_success_profiles_match_scalar_calls(table_params, fast_quad):
     r_values = np.array([5.0, 50.0, 95.0])
     batched = success_profiles(r_values, table_params, fast_quad)
     for r, profile in zip(r_values, batched):
-        single = joint_success_probability(float(r), table_params, fast_quad)
+        single = success_profiles(np.array([r]), table_params, fast_quad)[0]
         assert single.j_joint == pytest.approx(profile.j_joint, rel=1e-12)
         assert single.j_dl == pytest.approx(profile.j_dl, rel=1e-12)
         assert single.j_ul == pytest.approx(profile.j_ul, rel=1e-12)
@@ -460,13 +459,6 @@ def test_success_profiles_validation(table_params, fast_quad, bad):
         success_profiles(bad, table_params, fast_quad)
 
 
-def test_joint_success_probability_rejects_non_scalars(table_params, fast_quad):
-    with pytest.raises(ValueError):
-        joint_success_probability(float("nan"), table_params, fast_quad)
-    with pytest.raises(ValueError):
-        joint_success_probability(np.array([1.0, 2.0]), table_params, fast_quad)
-
-
 def test_success_profile_mixture_is_enforced():
     with pytest.raises(ValueError, match="mix"):
         SuccessProfile(
@@ -492,13 +484,32 @@ def test_success_profile_mixture_is_enforced():
         )
 
 
-def test_cluster_average_success_bounds(table_params, fast_quad):
-    avg = cluster_average_success(table_params, fast_quad, n_nodes=16)
+def test_cluster_average_success_bounds(table_params, fast_quad, monkeypatch):
+    seen = []
+    original = analytic._mixed_success
+
+    def recording(r_arr, params, quad):
+        seen.append(r_arr)
+        return original(r_arr, params, quad)
+
+    monkeypatch.setattr(analytic, "_mixed_success", recording)
+    avg = cluster_average_success(table_params, fast_quad)
     values = (avg.j_joint, avg.j_los, avg.j_nlos, avg.j_dl, avg.j_ul)
     assert all(0.0 <= v <= 1.0 for v in values)
     assert avg.j_joint <= min(avg.j_dl, avg.j_ul) + 1e-9
-    with pytest.raises(ValueError):
-        cluster_average_success(table_params, fast_quad, n_nodes=1)
+    # The average is the 32-node Gauss-Legendre rule in r against 2r/R^2.
+    # At these parameters a 16-node rule agrees to 1e-12 relative, so the
+    # nodes are checked directly.
+    radius = table_params.cluster_radius
+    x, w = np.polynomial.legendre.leggauss(32)
+    r = 0.5 * radius * (x + 1.0)
+    (nodes,) = seen
+    np.testing.assert_array_equal(nodes, r)
+    weights = 0.5 * radius * w * 2.0 * r / radius**2
+    profiles = success_profiles(r, table_params, fast_quad)
+    for field in ("j_joint", "j_los", "j_nlos", "j_dl", "j_ul"):
+        expected = weights @ np.array([getattr(p, field) for p in profiles])
+        assert getattr(avg, field) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.xfail(
@@ -518,6 +529,6 @@ def test_truncation_radius_is_numerically_immaterial(table_params, fast_quad):
         abs_tol=fast_quad.abs_tol,
         truncation_radius=2.0 * truncation,
     )
-    base = joint_success_probability(50.0, table_params, fast_quad).j_joint
-    wide = joint_success_probability(50.0, table_params, doubled).j_joint
+    base = success_profiles(np.array([50.0]), table_params, fast_quad)[0].j_joint
+    wide = success_profiles(np.array([50.0]), table_params, doubled)[0].j_joint
     assert wide == pytest.approx(base, rel=1e-2)

@@ -1,5 +1,6 @@
 """Command-line interface: config resolution, CSV outputs, determinism."""
 
+import dataclasses
 from pathlib import Path
 
 import yaml
@@ -384,3 +385,55 @@ def test_epoch_sweep_rejects_non_integer_epochs(tmp_path, bad):
     with pytest.raises(SystemExit, match="integers >= 1"):
         main(["sweep-e", "--config", str(config), "--rounds", "0",
               "--out", str(tmp_path / "out")])
+
+
+#: The integer fields of the resolved config, per section (None: top level).
+INTEGER_FIELDS = {
+    None: ("trials", "seed", "n_train", "n_test", "dataset_seed"),
+    "train": ("epochs", "batch_size", "rounds", "seed", "shards_per_device"),
+    "network": ("n_devices", "n_resource_blocks", "m_los", "m_nlos"),
+    "quad": ("max_subdivisions",),
+}
+
+
+def _default_config():
+    return load_config(None, build_parser().parse_args(["train"]))
+
+
+def test_integer_fields_are_every_int_field():
+    cfg = _default_config()
+    for section, names in INTEGER_FIELDS.items():
+        obj = cfg if section is None else getattr(cfg, section)
+        declared = {f.name for f in dataclasses.fields(obj) if f.type == "int"}
+        assert declared == set(names)
+
+
+@pytest.mark.parametrize("bad", [2.0, True])
+@pytest.mark.parametrize(
+    "section,name",
+    [(section, name) for section, names in INTEGER_FIELDS.items() for name in names],
+)
+def test_integer_fields_reject_floats_and_booleans(section, name, bad):
+    cfg = _default_config()
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        if section is None:
+            dataclasses.replace(cfg, **{name: bad})
+        else:
+            dataclasses.replace(getattr(cfg, section), **{name: bad})
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("coverage", {"seed": 1.7}),  # ran seed 1 and wrote "# seed: 1"
+        ("coverage", {"trials": True}),  # ran a 1-trial Monte Carlo
+        ("train", {"train": {"epochs": True}}),  # trained 1 epoch
+        ("train", {"n_train": 400.9}),  # used 400 rows
+    ],
+)
+def test_config_integers_are_not_coerced(tmp_path, capfd, command, extra):
+    config = _write_config(tmp_path / "cfg.yaml", {**SMALL_DATA, **extra})
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out_dir)]) == 2
+    assert "must be an integer" in capfd.readouterr().err
+    assert not out_dir.exists()

@@ -172,5 +172,6 @@ def test_data_bundle_limited():
     assert cut.train_x.shape == (4, 2)
     assert cut.test_x.shape == (6, 2)
     np.testing.assert_array_equal(cut.train_y, np.arange(4))
-    full = bundle.limited(None, None)
+    full = bundle.limited(100, 100)  # a limit beyond the data keeps it all
     assert full.train_x.shape == (10, 2)
+    assert full.test_x.shape == (10, 2)

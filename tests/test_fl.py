@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aerialfl.analytic import SuccessProfile
-from aerialfl.data import synthetic_blobs
+from aerialfl.data import DataBundle, synthetic_blobs
 from aerialfl.fl import (
     AggregatorKind,
     DeviceDataset,
@@ -39,12 +39,10 @@ def _profile(j_joint, q_k, j_ul=1.0):
 
 
 def _channel(ids, dl, ul):
-    ids = np.asarray(ids, dtype=int)
     return RoundChannel(
-        device_ids=ids,
+        device_ids=np.asarray(ids, dtype=int),
         dl_success=np.asarray(dl, dtype=bool),
         ul_success=np.asarray(ul, dtype=bool),
-        serving_distances=np.full(ids.size, 25.0),
     )
 
 
@@ -151,7 +149,7 @@ def test_local_update_single_gradient_step(rng):
     )
     cfg = TrainConfig(epochs=1, batch_size=1, eta0=0.1, rounds=1, seed=0)
     state = ModelState(weights=np.zeros(1), round=7)
-    out = local_update(0, state, data, cfg, rng, model)
+    out = local_update(0, state, data, cfg, rng, model, cfg.eta0)
     assert out.weights[0] == pytest.approx(0.1, abs=1e-15)
     assert out.round == 7  # tagged with the broadcast round it started from
     assert state.weights[0] == 0.0  # broadcast model is not mutated
@@ -187,7 +185,7 @@ def test_local_update_nonfinite_gradient_names_device(rng):
     cfg = TrainConfig(epochs=1, batch_size=1, eta0=0.1, rounds=1, seed=0)
     state = ModelState(weights=np.zeros(1), round=4)
     with pytest.raises(FloatingPointError, match="device 3.*round 4"):
-        local_update(3, state, data, cfg, rng, model)
+        local_update(3, state, data, cfg, rng, model, cfg.eta0)
 
 
 # -------------------------------------------------------------- aggregation
@@ -309,24 +307,11 @@ def small_bundle():
     )
 
 
-def _train(cfg, params, kind, bundle, quad):
-    return train(
-        cfg,
-        params,
-        kind,
-        bundle.train_x,
-        bundle.train_y,
-        bundle.test_x,
-        bundle.test_y,
-        quad=quad,
-    )
-
-
 def test_train_is_deterministic(table_params, fast_quad, small_bundle):
     params = table_params.with_(n_devices=5, n_resource_blocks=3)
     cfg = TrainConfig(epochs=1, batch_size=32, eta0=0.05, rounds=3, seed=1)
-    first = _train(cfg, params, AggregatorKind.JOINT, small_bundle, fast_quad)
-    second = _train(cfg, params, AggregatorKind.JOINT, small_bundle, fast_quad)
+    first = train(cfg, params, AggregatorKind.JOINT, small_bundle, fast_quad)
+    second = train(cfg, params, AggregatorKind.JOINT, small_bundle, fast_quad)
     np.testing.assert_array_equal(
         first.final_state.weights, second.final_state.weights
     )
@@ -336,7 +321,7 @@ def test_train_is_deterministic(table_params, fast_quad, small_bundle):
 def test_train_record_structure(table_params, fast_quad, small_bundle):
     params = table_params.with_(n_devices=5, n_resource_blocks=3)
     cfg = TrainConfig(epochs=1, batch_size=32, eta0=0.05, rounds=3, seed=1)
-    result = _train(cfg, params, AggregatorKind.JOINT, small_bundle, fast_quad)
+    result = train(cfg, params, AggregatorKind.JOINT, small_bundle, fast_quad)
     assert [r.round for r in result.records] == [0, 1, 2, 3]
     assert result.final_state.round == 3
     assert len(result.profiles) == 5
@@ -345,10 +330,31 @@ def test_train_record_structure(table_params, fast_quad, small_bundle):
     zero_rounds = TrainConfig(
         epochs=1, batch_size=32, eta0=0.05, rounds=0, seed=1
     )
-    still = _train(
+    still = train(
         zero_rounds, params, AggregatorKind.JOINT, small_bundle, fast_quad
     )
     assert len(still.records) == 1
+
+
+def test_train_reads_each_bundle_field(table_params, fast_quad):
+    """Partition and train accuracy use the train split, test accuracy the
+    test split, and the model spans the labels of both."""
+    rng = np.random.default_rng(3)
+    bundle = DataBundle(
+        train_x=rng.normal(size=(40, 3)),
+        train_y=np.repeat([0, 1, 2, 1], 10),
+        test_x=rng.normal(size=(4, 3)),
+        test_y=np.array([0, 0, 3, 1]),
+    )
+    params = table_params.with_(n_devices=5, n_resource_blocks=3)
+    cfg = TrainConfig(epochs=1, batch_size=8, eta0=0.05, rounds=0, seed=1)
+    result = train(cfg, params, AggregatorKind.JOINT, bundle, fast_quad)
+    # Zero weights predict class 0 for every row and give loss log(C).
+    (start,) = result.records
+    assert start.train_accuracy == 0.25
+    assert start.test_accuracy == 0.5
+    assert start.loss == pytest.approx(math.log(4), rel=1e-12)
+    assert result.final_state.weights.size == (3 + 1) * 4
 
 
 def test_train_reliable_channel_reduces_to_fedavg(
@@ -359,8 +365,8 @@ def test_train_reliable_channel_reduces_to_fedavg(
         n_devices=5, n_resource_blocks=5, tau_dl=0.0, tau_ul=0.0
     )
     cfg = TrainConfig(epochs=1, batch_size=32, eta0=0.05, rounds=3, seed=2)
-    joint = _train(cfg, params, AggregatorKind.JOINT, small_bundle, fast_quad)
-    fedavg = _train(cfg, params, AggregatorKind.FEDAVG, small_bundle, fast_quad)
+    joint = train(cfg, params, AggregatorKind.JOINT, small_bundle, fast_quad)
+    fedavg = train(cfg, params, AggregatorKind.FEDAVG, small_bundle, fast_quad)
     for prof in joint.profiles:
         assert prof.j_joint == pytest.approx(1.0, abs=1e-9)
     np.testing.assert_allclose(

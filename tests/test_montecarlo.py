@@ -229,9 +229,6 @@ def test_realize_round_deterministic_and_aligned(table_params):
     np.testing.assert_array_equal(first.dl_success, second.dl_success)
     np.testing.assert_array_equal(first.ul_success, second.ul_success)
     np.testing.assert_array_equal(
-        first.serving_distances, topology.serving_distances[schedule]
-    )
-    np.testing.assert_array_equal(
         first.joint_success, first.dl_success & first.ul_success
     )
 
@@ -252,22 +249,17 @@ def test_realize_round_rejects_bad_schedules(table_params):
 def test_round_channel_validation():
     ids = np.array([0, 1])
     ok = np.array([True, False])
-    dist = np.array([10.0, 20.0])
-    channel = RoundChannel(
-        device_ids=ids, dl_success=ok, ul_success=~ok, serving_distances=dist
-    )
+    channel = RoundChannel(device_ids=ids, dl_success=ok, ul_success=~ok)
     np.testing.assert_array_equal(channel.joint_success, [False, False])
     with pytest.raises(ValueError, match="align"):
         RoundChannel(
             device_ids=ids,
             dl_success=ok,
             ul_success=np.array([True]),
-            serving_distances=dist,
         )
     with pytest.raises(ValueError, match="distinct"):
         RoundChannel(
             device_ids=np.array([1, 1]),
             dl_success=ok,
             ul_success=ok,
-            serving_distances=dist,
         )
