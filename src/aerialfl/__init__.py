@@ -1,7 +1,6 @@
 """Coverage analysis and channel-aware federated learning over aerial networks."""
 
 from .analytic import (
-    AverageSuccess,
     QuadratureSpec,
     SuccessProfile,
     cluster_average_success,
@@ -40,7 +39,6 @@ from .quadrature import QuadratureError
 
 __all__ = [
     "AggregatorKind",
-    "AverageSuccess",
     "CoverageEstimate",
     "DataBundle",
     "DeviceDataset",

@@ -38,14 +38,13 @@ from .channel import (
     los_probability,
 )
 from .geometry import arc_distance_pdf, serving_distance_pdf
-from .params import NetworkParams, is_integer, require_integers
+from .params import NetworkParams, is_integer, require_integers, require_reals
 from .quadrature import integrate_batch
 
 __all__ = [
     "TRUNCATION_SCALE",
     "QuadratureSpec",
     "SuccessProfile",
-    "AverageSuccess",
     "eta",
     "laplace_dl",
     "laplace_ul",
@@ -75,10 +74,13 @@ class QuadratureSpec:
 
     def __post_init__(self):
         require_integers(self, "max_subdivisions")
+        require_reals(self, "rel_tol", "abs_tol")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.truncation_radius is not None and self.truncation_radius <= 0:
-            raise ValueError("truncation radius must be positive")
+        if self.truncation_radius is not None:
+            require_reals(self, "truncation_radius")
+            if self.truncation_radius <= 0:
+                raise ValueError("truncation radius must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
 
@@ -230,50 +232,15 @@ def laplace_ul(s, params: NetworkParams, quad: QuadratureSpec | None = None):
 
 @dataclass(frozen=True)
 class SuccessProfile:
-    """Joint and per-link success probabilities at one serving distance."""
+    """Joint, downlink and uplink success probabilities.
 
-    r_k: float
-    j_joint: float
-    j_los: float
-    j_nlos: float
-    j_dl: float
-    j_ul: float
-    p_los: float
-    q_k: float
+    `success_profiles` holds one array entry per serving distance, and
+    `cluster_average_success` holds floats averaged over the cluster.
+    """
 
-    def __post_init__(self):
-        probs = (
-            self.j_joint,
-            self.j_los,
-            self.j_nlos,
-            self.j_dl,
-            self.j_ul,
-            self.p_los,
-            self.q_k,
-        )
-        if any(p < -1e-12 or p > 1.0 + 1e-12 for p in probs):
-            raise ValueError("success probabilities must lie in [0, 1]")
-        mix = self.p_los * self.j_los + (1.0 - self.p_los) * self.j_nlos
-        if abs(mix - self.j_joint) > 1e-12:
-            raise ValueError("joint probability must mix the LOS/NLOS factors")
-
-
-@dataclass(frozen=True)
-class AverageSuccess:
-    """Success probabilities averaged over the serving-distance density."""
-
-    j_joint: float
-    j_los: float
-    j_nlos: float
-    j_dl: float
-    j_ul: float
-
-    def __post_init__(self):
-        probs = (self.j_joint, self.j_los, self.j_nlos, self.j_dl, self.j_ul)
-        if any(p < -1e-9 or p > 1.0 + 1e-9 for p in probs):
-            raise ValueError("averaged probabilities must lie in [0, 1]")
-        if self.j_joint > min(self.j_dl, self.j_ul) + 1e-9:
-            raise ValueError("joint success cannot exceed either marginal")
+    j_joint: np.ndarray | float
+    j_dl: np.ndarray | float
+    j_ul: np.ndarray | float
 
 
 def laplace_arguments(
@@ -332,12 +299,13 @@ def _success_factors(
     return out
 
 
-def _mixed_success(r_arr: np.ndarray, params: NetworkParams, quad: QuadratureSpec):
-    """LOS probability and the mixed success arrays at each serving distance.
+def _mixed_success(
+    r_arr: np.ndarray, params: NetworkParams, quad: QuadratureSpec
+) -> SuccessProfile:
+    """Mixed success arrays at each serving distance.
 
-    Returns (p_los, j_joint, j_los, j_nlos, j_dl, j_ul): the per-class joint
-    factors are DL x UL products, and the joint and per-link values mix the
-    classes with the serving link's LOS probability.
+    The per-class joint factors are DL x UL products, and the joint and
+    per-link values mix the classes with the serving link's LOS probability.
     """
     f_dl = _success_factors(r_arr, params, quad, Direction.DL)
     f_ul = _success_factors(r_arr, params, quad, Direction.UL)
@@ -346,16 +314,17 @@ def _mixed_success(r_arr: np.ndarray, params: NetworkParams, quad: QuadratureSpe
     )
     j_los = f_dl[LinkType.LOS] * f_ul[LinkType.LOS]
     j_nlos = f_dl[LinkType.NLOS] * f_ul[LinkType.NLOS]
-    j_joint = p_los * j_los + (1.0 - p_los) * j_nlos
-    j_dl = p_los * f_dl[LinkType.LOS] + (1.0 - p_los) * f_dl[LinkType.NLOS]
-    j_ul = p_los * f_ul[LinkType.LOS] + (1.0 - p_los) * f_ul[LinkType.NLOS]
-    return p_los, j_joint, j_los, j_nlos, j_dl, j_ul
+    return SuccessProfile(
+        j_joint=p_los * j_los + (1.0 - p_los) * j_nlos,
+        j_dl=p_los * f_dl[LinkType.LOS] + (1.0 - p_los) * f_dl[LinkType.NLOS],
+        j_ul=p_los * f_ul[LinkType.LOS] + (1.0 - p_los) * f_ul[LinkType.NLOS],
+    )
 
 
 def success_profiles(
     r_values, params: NetworkParams, quad: QuadratureSpec | None = None
-) -> list[SuccessProfile]:
-    """Joint DL/UL success profiles at several serving distances at once.
+) -> SuccessProfile:
+    """Joint DL/UL success arrays at several serving distances at once.
 
     All Laplace evaluations across distances and binomial terms share one
     batched quadrature run, so profiling a whole cluster costs little more
@@ -369,21 +338,7 @@ def success_profiles(
         np.isfinite(r_arr)
     ):
         raise ValueError("serving distances must lie in [0, cluster_radius]")
-    p_los, j_joint, j_los, j_nlos, j_dl, j_ul = _mixed_success(r_arr, params, quad)
-    q_k = params.scheduling_probability
-    return [
-        SuccessProfile(
-            r_k=float(r_arr[i]),
-            j_joint=float(j_joint[i]),
-            j_los=float(j_los[i]),
-            j_nlos=float(j_nlos[i]),
-            j_dl=float(j_dl[i]),
-            j_ul=float(j_ul[i]),
-            p_los=float(p_los[i]),
-            q_k=q_k,
-        )
-        for i in range(r_arr.size)
-    ]
+    return _mixed_success(r_arr, params, quad)
 
 
 #: Gauss-Legendre nodes in r of `cluster_average_success`.
@@ -392,7 +347,7 @@ _SERVING_NODES = 32
 
 def cluster_average_success(
     params: NetworkParams, quad: QuadratureSpec | None = None
-) -> AverageSuccess:
+) -> SuccessProfile:
     """Success probabilities averaged over the serving-distance density.
 
     Uses fixed Gauss-Legendre nodes in r against the in-cluster density
@@ -404,12 +359,8 @@ def cluster_average_success(
     x, w = np.polynomial.legendre.leggauss(_SERVING_NODES)
     r_arr = 0.5 * radius * (x + 1.0)
     weights = 0.5 * radius * w * serving_distance_pdf(r_arr, radius)
-    _, j_joint, j_los, j_nlos, j_dl, j_ul = _mixed_success(r_arr, params, quad)
+    mixed = _mixed_success(r_arr, params, quad)
     clip = lambda v: float(np.clip(weights @ v, 0.0, 1.0))
-    return AverageSuccess(
-        j_joint=clip(j_joint),
-        j_los=clip(j_los),
-        j_nlos=clip(j_nlos),
-        j_dl=clip(j_dl),
-        j_ul=clip(j_ul),
+    return SuccessProfile(
+        j_joint=clip(mixed.j_joint), j_dl=clip(mixed.j_dl), j_ul=clip(mixed.j_ul)
     )

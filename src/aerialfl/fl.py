@@ -26,7 +26,7 @@ from .data import DataBundle
 from .geometry import sample_topology
 from .models import Model, build_model
 from .montecarlo import RoundChannel, realize_round
-from .params import NetworkParams, require_integers
+from .params import NetworkParams, require_integers, require_reals
 
 __all__ = [
     "AggregatorKind",
@@ -133,6 +133,7 @@ class TrainConfig:
         require_integers(
             self, "epochs", "batch_size", "rounds", "seed", "shards_per_device"
         )
+        require_reals(self, "eta0", "lr_decay")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
@@ -162,11 +163,14 @@ class RoundMetrics:
 
 @dataclass(frozen=True)
 class TrainResult:
-    """Per-round metrics, final model and device success profiles of a run."""
+    """Per-round metrics, final model and device success profiles of a run.
+
+    ``profiles`` holds one array entry per device, indexed by device id.
+    """
 
     records: list[RoundMetrics]
     final_state: ModelState
-    profiles: list[SuccessProfile]
+    profiles: SuccessProfile
 
     @property
     def final_test_accuracy(self) -> float:
@@ -258,7 +262,8 @@ def aggregate(
     state: ModelState,
     updates: Mapping[int, ModelState | np.ndarray],
     channel: RoundChannel,
-    profiles: Sequence[SuccessProfile],
+    profiles: SuccessProfile,
+    q: float,
     p: np.ndarray,
     kind: AggregatorKind,
 ) -> ModelState:
@@ -266,11 +271,12 @@ def aggregate(
 
     Each device that arrived, in schedule order, gets one coefficient c_k,
     and the new model is ``w + sum_k c_k (u_k - w)``; ``p[k]`` is device
-    k's share of the global objective.  The joint rule takes
-    ``c_k = p_k / (q_k * J_k)``, which is unbiased for the
-    full-participation aggregate because each term survives with
-    probability exactly ``q_k * J_k``.  The uplink-only rule divides by
-    ``q_k * J_k^ul`` instead (updates still must survive both links to
+    k's share of the global objective, ``q`` the scheduling probability
+    and ``profiles`` holds each device's success arrays, indexed by device
+    id.  The joint rule takes ``c_k = p_k / (q * J_k)``, which is unbiased
+    for the full-participation aggregate because each term survives with
+    probability exactly ``q * J_k``.  The uplink-only rule divides by
+    ``q * J_k^ul`` instead (updates still must survive both links to
     arrive), leaving the downlink loss uncorrected.  Plain federated
     averaging renormalizes ``p_k`` over the survivors; an empty round leaves
     the model unchanged.
@@ -282,16 +288,16 @@ def aggregate(
         total = float(sum(p[k] for k in arrived))
         coefficients = [p[k] / total for k in arrived] if total > 0 else []
     else:
+        success = profiles.j_joint if kind is AggregatorKind.JOINT else profiles.j_ul
         coefficients = []
         for k in arrived:
-            prof = profiles[k]
-            j = prof.j_joint if kind is AggregatorKind.JOINT else prof.j_ul
-            if j <= 0.0 or prof.q_k <= 0.0:
+            j = success[k]
+            if j <= 0.0 or q <= 0.0:
                 raise ValueError(
                     f"device {k} has vanishing success probability; "
                     "inverse weighting is undefined"
                 )
-            coefficients.append(p[k] / (prof.q_k * j))
+            coefficients.append(p[k] / (q * j))
     delta = np.zeros_like(w)
     for k, c in zip(arrived, coefficients):
         delta += c * (_update_weights(updates[k]) - w)
@@ -383,7 +389,9 @@ def train(
         channel = realize_round(
             topology, sched, params, _stream(cfg.seed, _KEY_CHANNEL, t)
         )
-        state = aggregate(state, updates, channel, profiles, p, kind)
+        state = aggregate(
+            state, updates, channel, profiles, params.scheduling_probability, p, kind
+        )
         records.append(metrics(state))
     return TrainResult(
         records=records,

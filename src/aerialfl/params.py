@@ -34,6 +34,23 @@ def require_integers(obj, *names: str) -> None:
             raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
+def require_reals(obj, *names: str) -> None:
+    """Raise ``ValueError`` unless each named field of ``obj`` is real.
+
+    A real setting is a finite ``int`` or ``float`` that is not a ``bool``,
+    so that ``True`` is not read as 1 and NaN or infinity never reaches a
+    comparison that it would silently pass.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if (
+            not isinstance(value, (int, float))
+            or isinstance(value, bool)
+            or not math.isfinite(value)
+        ):
+            raise ValueError(f"{name} must be a finite real number, not {value!r}")
+
+
 #: LOS-model environment constants (a, b): keyed by environment name.
 #: The (9.61, 0.16) pair used as the default corresponds to an urban
 #: environment; the other presets are the standard companion values for the
@@ -103,18 +120,13 @@ class NetworkParams:
 
     def __post_init__(self):
         require_integers(self, "n_devices", "n_resource_blocks", "m_los", "m_nlos")
-        if not all(
-            math.isfinite(v)
-            for v in (
-                self.lam, self.cluster_radius, self.height, self.p_uav,
-                self.p_device, self.alpha_los, self.alpha_nlos,
-                self.noise_power, self.env_a, self.env_b, self.tau_dl,
-                self.tau_ul, self.gain_main_uav, self.gain_main_device,
-                self.gain_side_uav, self.gain_side_device,
-                self.beamwidth_uav, self.beamwidth_device,
-            )
-        ):
-            raise ValueError("all network parameters must be finite")
+        require_reals(
+            self, "lam", "cluster_radius", "height", "p_uav", "p_device",
+            "alpha_los", "alpha_nlos", "noise_power", "env_a", "env_b",
+            "tau_dl", "tau_ul", "gain_main_uav", "gain_main_device",
+            "gain_side_uav", "gain_side_device", "beamwidth_uav",
+            "beamwidth_device",
+        )
         if self.lam <= 0:
             raise ValueError("UAV density must be positive")
         if self.n_devices < 1 or self.n_resource_blocks < 1:
@@ -140,10 +152,10 @@ class NetworkParams:
             raise ValueError("environment constants require a >= 0, b > 0")
         if self.tau_dl < 0 or self.tau_ul < 0:
             raise ValueError("SINR thresholds must be non-negative (linear)")
-        if self.sim_window_radius is not None and not (
-            math.isfinite(self.sim_window_radius) and self.sim_window_radius > 0
-        ):
-            raise ValueError("sim_window_radius must be positive and finite")
+        if self.sim_window_radius is not None:
+            require_reals(self, "sim_window_radius")
+            if self.sim_window_radius <= 0:
+                raise ValueError("sim_window_radius must be positive")
 
     @property
     def g0(self) -> float:

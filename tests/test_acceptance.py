@@ -242,16 +242,16 @@ def test_criterion_4_degenerate_identities():
     assert laplace_ul(0.0, params, quad) == pytest.approx(1.0, abs=1e-9)
 
     certain = params.with_(tau_dl=0.0, tau_ul=0.0)
-    for profile in success_profiles(np.array(radii), certain, quad):
-        assert profile.j_joint == pytest.approx(1.0, abs=1e-9)
+    for j_joint in success_profiles(np.array(radii), certain, quad).j_joint:
+        assert j_joint == pytest.approx(1.0, abs=1e-9)
 
     pinned = QuadratureSpec(
         truncation_radius=quad.resolve_truncation(params)
     )
     sparse = params.with_(lam=1e-30)
     worst = 0.0
-    for r, profile in zip(radii, success_profiles(np.array(radii), sparse, pinned)):
-        got = profile.j_joint
+    noise_only = success_profiles(np.array(radii), sparse, pinned)
+    for r, got in zip(radii, noise_only.j_joint):
         expected = _noise_only_joint(sparse, float(r))
         worst = max(worst, abs(got - expected))
         assert got == pytest.approx(expected, abs=1e-9)
@@ -267,13 +267,9 @@ def test_criterion_4_degenerate_identities():
 def test_criterion_5_joint_aggregation_is_unbiased():
     """Two-device scalar experiment: inverse weighting removes the bias."""
     j_values = (0.3, 0.9)
-    profiles = [
-        SuccessProfile(
-            r_k=10.0, j_joint=j, j_los=j, j_nlos=j, j_dl=j, j_ul=1.0,
-            p_los=0.5, q_k=0.5,
-        )
-        for j in j_values
-    ]
+    profiles = SuccessProfile(
+        j_joint=np.array(j_values), j_dl=np.array(j_values), j_ul=np.ones(2)
+    )
     v = (np.array([1.0]), np.array([2.0]))
     p = np.array([0.5, 0.5])
     state = ModelState(weights=np.zeros(1), round=0)
@@ -293,7 +289,7 @@ def test_criterion_5_joint_aggregation_is_unbiased():
         )
         updates = {int(k): v[int(k)]}
         for kind in sums:
-            out = aggregate(state, updates, channel, profiles, p, kind)
+            out = aggregate(state, updates, channel, profiles, 0.5, p, kind)
             sums[kind] += float(out.weights[0])
 
     joint_mean = sums[AggregatorKind.JOINT] / rounds

@@ -9,7 +9,6 @@ import scipy.integrate
 from aerialfl import analytic
 from aerialfl.analytic import (
     QuadratureSpec,
-    SuccessProfile,
     cluster_average_success,
     eta,
     laplace_arguments,
@@ -17,7 +16,13 @@ from aerialfl.analytic import (
     laplace_ul,
     success_profiles,
 )
-from aerialfl.channel import Direction, LinkType, build_gain_pattern, link_params
+from aerialfl.channel import (
+    Direction,
+    LinkType,
+    build_gain_pattern,
+    link_params,
+    los_probability,
+)
 from aerialfl.geometry import arc_distance_pdf, serving_distance_pdf
 from aerialfl.params import NetworkParams
 from aerialfl.quadrature import integrate_batch
@@ -423,25 +428,46 @@ def test_closed_form_evaluates_transforms_at_laplace_arguments(
 def test_success_profiles_match_scalar_calls(table_params, fast_quad):
     r_values = np.array([5.0, 50.0, 95.0])
     batched = success_profiles(r_values, table_params, fast_quad)
-    for r, profile in zip(r_values, batched):
-        single = success_profiles(np.array([r]), table_params, fast_quad)[0]
-        assert single.j_joint == pytest.approx(profile.j_joint, rel=1e-12)
-        assert single.j_dl == pytest.approx(profile.j_dl, rel=1e-12)
-        assert single.j_ul == pytest.approx(profile.j_ul, rel=1e-12)
+    for i, r in enumerate(r_values):
+        single = success_profiles(np.array([r]), table_params, fast_quad)
+        for field in ("j_joint", "j_dl", "j_ul"):
+            assert getattr(single, field)[0] == pytest.approx(
+                getattr(batched, field)[i], rel=1e-12
+            )
 
 
 def test_success_profiles_structure(table_params, fast_quad):
-    profiles = success_profiles(np.array([10.0, 80.0]), table_params, fast_quad)
-    for profile in profiles:
-        mix = (
-            profile.p_los * profile.j_los
-            + (1.0 - profile.p_los) * profile.j_nlos
-        )
-        assert profile.j_joint == pytest.approx(mix, abs=1e-12)
-        assert profile.j_joint <= min(profile.j_dl, profile.j_ul) + 1e-9
-        assert profile.q_k == table_params.scheduling_probability
+    """Each link's factor mixes over the serving link's class, and the joint
+    value mixes the per-class DL x UL products with the same weights."""
+    r = np.array([10.0, 80.0])
+    profiles = success_profiles(r, table_params, fast_quad)
+    p_los = los_probability(
+        r, table_params.height, table_params.env_a, table_params.env_b
+    )
+    f_dl = analytic._success_factors(r, table_params, fast_quad, Direction.DL)
+    f_ul = analytic._success_factors(r, table_params, fast_quad, Direction.UL)
+
+    def mix(los, nlos):
+        return p_los * los + (1.0 - p_los) * nlos
+
+    expected = {
+        "j_joint": mix(
+            f_dl[LinkType.LOS] * f_ul[LinkType.LOS],
+            f_dl[LinkType.NLOS] * f_ul[LinkType.NLOS],
+        ),
+        "j_dl": mix(f_dl[LinkType.LOS], f_dl[LinkType.NLOS]),
+        "j_ul": mix(f_ul[LinkType.LOS], f_ul[LinkType.NLOS]),
+    }
+    for field, want in expected.items():
+        got = getattr(profiles, field)
+        assert got.shape == r.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert np.all((got >= 0.0) & (got <= 1.0))
+    assert np.all(
+        profiles.j_joint <= np.minimum(profiles.j_dl, profiles.j_ul) + 1e-9
+    )
     # Success degrades with serving distance.
-    assert profiles[0].j_joint > profiles[1].j_joint
+    assert profiles.j_joint[0] > profiles.j_joint[1]
 
 
 @pytest.mark.parametrize(
@@ -459,31 +485,6 @@ def test_success_profiles_validation(table_params, fast_quad, bad):
         success_profiles(bad, table_params, fast_quad)
 
 
-def test_success_profile_mixture_is_enforced():
-    with pytest.raises(ValueError, match="mix"):
-        SuccessProfile(
-            r_k=10.0,
-            j_joint=0.9,
-            j_los=0.5,
-            j_nlos=0.5,
-            j_dl=0.6,
-            j_ul=0.8,
-            p_los=0.5,
-            q_k=0.9,
-        )
-    with pytest.raises(ValueError, match="\\[0, 1\\]"):
-        SuccessProfile(
-            r_k=10.0,
-            j_joint=1.5,
-            j_los=1.5,
-            j_nlos=1.5,
-            j_dl=1.5,
-            j_ul=1.5,
-            p_los=0.5,
-            q_k=0.9,
-        )
-
-
 def test_cluster_average_success_bounds(table_params, fast_quad, monkeypatch):
     seen = []
     original = analytic._mixed_success
@@ -494,8 +495,8 @@ def test_cluster_average_success_bounds(table_params, fast_quad, monkeypatch):
 
     monkeypatch.setattr(analytic, "_mixed_success", recording)
     avg = cluster_average_success(table_params, fast_quad)
-    values = (avg.j_joint, avg.j_los, avg.j_nlos, avg.j_dl, avg.j_ul)
-    assert all(0.0 <= v <= 1.0 for v in values)
+    values = (avg.j_joint, avg.j_dl, avg.j_ul)
+    assert all(isinstance(v, float) and 0.0 <= v <= 1.0 for v in values)
     assert avg.j_joint <= min(avg.j_dl, avg.j_ul) + 1e-9
     # The average is the 32-node Gauss-Legendre rule in r against 2r/R^2.
     # At these parameters a 16-node rule agrees to 1e-12 relative, so the
@@ -507,8 +508,8 @@ def test_cluster_average_success_bounds(table_params, fast_quad, monkeypatch):
     np.testing.assert_array_equal(nodes, r)
     weights = 0.5 * radius * w * 2.0 * r / radius**2
     profiles = success_profiles(r, table_params, fast_quad)
-    for field in ("j_joint", "j_los", "j_nlos", "j_dl", "j_ul"):
-        expected = weights @ np.array([getattr(p, field) for p in profiles])
+    for field in ("j_joint", "j_dl", "j_ul"):
+        expected = weights @ getattr(profiles, field)
         assert getattr(avg, field) == pytest.approx(expected, rel=1e-12)
 
 
@@ -529,6 +530,6 @@ def test_truncation_radius_is_numerically_immaterial(table_params, fast_quad):
         abs_tol=fast_quad.abs_tol,
         truncation_radius=2.0 * truncation,
     )
-    base = success_profiles(np.array([50.0]), table_params, fast_quad)[0].j_joint
-    wide = success_profiles(np.array([50.0]), table_params, doubled)[0].j_joint
+    base = success_profiles(np.array([50.0]), table_params, fast_quad).j_joint[0]
+    wide = success_profiles(np.array([50.0]), table_params, doubled).j_joint[0]
     assert wide == pytest.approx(base, rel=1e-2)

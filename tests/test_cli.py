@@ -1,6 +1,7 @@
 """Command-line interface: config resolution, CSV outputs, determinism."""
 
 import dataclasses
+import math
 from pathlib import Path
 
 import yaml
@@ -420,6 +421,70 @@ def test_integer_fields_reject_floats_and_booleans(section, name, bad):
             dataclasses.replace(cfg, **{name: bad})
         else:
             dataclasses.replace(getattr(cfg, section), **{name: bad})
+
+
+#: The real-valued fields of the resolved config, per section.
+REAL_FIELDS = {
+    "train": ("eta0", "lr_decay"),
+    "network": (
+        "lam", "cluster_radius", "height", "p_uav", "p_device", "alpha_los",
+        "alpha_nlos", "noise_power", "env_a", "env_b", "tau_dl", "tau_ul",
+        "gain_main_uav", "gain_main_device", "gain_side_uav",
+        "gain_side_device", "beamwidth_uav", "beamwidth_device",
+        "sim_window_radius",
+    ),
+    "quad": ("rel_tol", "abs_tol", "truncation_radius"),
+}
+
+
+def test_real_fields_are_every_float_field():
+    cfg = _default_config()
+    assert not any("float" in f.type for f in dataclasses.fields(cfg))
+    for section, names in REAL_FIELDS.items():
+        obj = getattr(cfg, section)
+        declared = {f.name for f in dataclasses.fields(obj) if "float" in f.type}
+        assert declared == set(names)
+
+
+@pytest.mark.parametrize("bad", [True, math.nan, math.inf, "1.0"])
+@pytest.mark.parametrize(
+    "section,name",
+    [(section, name) for section, names in REAL_FIELDS.items() for name in names],
+)
+def test_real_fields_reject_booleans_and_non_finite_values(section, name, bad):
+    obj = getattr(_default_config(), section)
+    with pytest.raises(ValueError, match=f"{name} must be a finite real number"):
+        dataclasses.replace(obj, **{name: bad})
+
+
+def test_real_fields_take_integers_as_they_are():
+    # No coercion: an int stays an int, so no config hash moves. The default
+    # config already holds None for the two optional radii.
+    cfg = _default_config()
+    assert cfg.network.sim_window_radius is None
+    assert cfg.quad.truncation_radius is None
+    for section, name in (("network", "height"), ("quad", "truncation_radius"),
+                          ("train", "eta0")):
+        value = getattr(dataclasses.replace(getattr(cfg, section), **{name: 450}), name)
+        assert type(value) is int and value == 450
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"quad": {"rel_tol": math.nan}},  # wrote a different analytic_joint
+        {"quad": {"rel_tol": True}},  # ran with a tolerance of 1
+        {"network": {"env_b": True}},  # ran the LOS model with b = 1
+    ],
+)
+def test_config_reals_reject_booleans_and_nan(tmp_path, capfd, extra):
+    config = _write_config(
+        tmp_path / "cfg.yaml", {"sweep": {"values": [45.0]}, "trials": 0, **extra}
+    )
+    out_dir = tmp_path / "out"
+    assert main(["coverage", "--config", str(config), "--out", str(out_dir)]) == 2
+    assert "must be a finite real number" in capfd.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(

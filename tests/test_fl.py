@@ -25,17 +25,11 @@ from aerialfl.models import Model, multinomial_logistic
 from aerialfl.montecarlo import RoundChannel
 
 
-def _profile(j_joint, q_k, j_ul=1.0):
-    return SuccessProfile(
-        r_k=10.0,
-        j_joint=j_joint,
-        j_los=j_joint,
-        j_nlos=j_joint,
-        j_dl=1.0,
-        j_ul=j_ul,
-        p_los=0.5,
-        q_k=q_k,
-    )
+def _profiles(j_joint, j_ul=None):
+    """Success arrays indexed by device id; the uplink is certain unless given."""
+    j_joint = np.asarray(j_joint, dtype=float)
+    j_ul = np.ones_like(j_joint) if j_ul is None else np.asarray(j_ul, dtype=float)
+    return SuccessProfile(j_joint=j_joint, j_dl=np.ones_like(j_joint), j_ul=j_ul)
 
 
 def _channel(ids, dl, ul):
@@ -194,31 +188,31 @@ def test_local_update_nonfinite_gradient_names_device(rng):
 def test_aggregate_worked_example():
     """Two reliable devices, q = 1: 0 + (0.5/0.5)*1 + (0.5/1)*2 = 2."""
     state = ModelState(weights=np.zeros(1), round=0)
-    profiles = [_profile(0.5, 1.0), _profile(1.0, 1.0)]
+    profiles = _profiles([0.5, 1.0])
     updates = {0: np.array([1.0]), 1: np.array([2.0])}
     channel = _channel([0, 1], [True, True], [True, True])
     p = np.array([0.5, 0.5])
-    out = aggregate(state, updates, channel, profiles, p, AggregatorKind.JOINT)
+    out = aggregate(state, updates, channel, profiles, 1.0, p, AggregatorKind.JOINT)
     assert out.weights[0] == pytest.approx(2.0, abs=1e-15)
     assert out.round == 1
     # ModelState updates behave exactly like raw arrays.
     wrapped = {
         k: ModelState(weights=v, round=0) for k, v in updates.items()
     }
-    again = aggregate(state, wrapped, channel, profiles, p, AggregatorKind.JOINT)
+    again = aggregate(state, wrapped, channel, profiles, 1.0, p, AggregatorKind.JOINT)
     assert again.weights[0] == out.weights[0]
 
 
 def test_aggregate_recovers_plain_average_when_reliable():
     """q = 1 and J = 1 with uniform shares reduces to the sample mean."""
     state = ModelState(weights=np.zeros(2), round=3)
-    profiles = [_profile(1.0, 1.0) for _ in range(4)]
+    profiles = _profiles([1.0] * 4)
     updates = {k: np.full(2, float(k)) for k in range(4)}
     channel = _channel(range(4), [True] * 4, [True] * 4)
     p = np.full(4, 0.25)
-    joint = aggregate(state, updates, channel, profiles, p, AggregatorKind.JOINT)
+    joint = aggregate(state, updates, channel, profiles, 1.0, p, AggregatorKind.JOINT)
     fedavg = aggregate(
-        state, updates, channel, profiles, p, AggregatorKind.FEDAVG
+        state, updates, channel, profiles, 1.0, p, AggregatorKind.FEDAVG
     )
     np.testing.assert_allclose(joint.weights, [1.5, 1.5], atol=1e-15)
     np.testing.assert_allclose(joint.weights, fedavg.weights, atol=1e-15)
@@ -226,29 +220,29 @@ def test_aggregate_recovers_plain_average_when_reliable():
 
 def test_aggregate_drops_devices_that_fail_either_link():
     state = ModelState(weights=np.zeros(1), round=0)
-    profiles = [_profile(0.5, 1.0), _profile(0.5, 1.0)]
+    profiles = _profiles([0.5, 0.5])
     updates = {0: np.array([1.0]), 1: np.array([5.0])}
     p = np.array([0.5, 0.5])
     for dl, ul in (([False, True], [True, True]), ([True, True], [False, True])):
         channel = _channel([0, 1], dl, ul)
         out = aggregate(
-            state, updates, channel, profiles, p, AggregatorKind.JOINT
+            state, updates, channel, profiles, 1.0, p, AggregatorKind.JOINT
         )
         # Only device 1 contributes: 0.5/0.5 * 5.
         assert out.weights[0] == pytest.approx(5.0)
         fed = aggregate(
-            state, updates, channel, profiles, p, AggregatorKind.FEDAVG
+            state, updates, channel, profiles, 1.0, p, AggregatorKind.FEDAVG
         )
         assert fed.weights[0] == pytest.approx(5.0)  # renormalized survivor
 
 
 def test_aggregate_empty_round_leaves_model_unchanged():
     state = ModelState(weights=np.array([0.7]), round=2)
-    profiles = [_profile(0.5, 1.0)]
+    profiles = _profiles([0.5])
     channel = _channel([0], [False], [False])
     for kind in AggregatorKind:
         out = aggregate(
-            state, {0: np.array([9.9])}, channel, profiles,
+            state, {0: np.array([9.9])}, channel, profiles, 1.0,
             np.array([1.0]), kind,
         )
         assert out.weights[0] == 0.7
@@ -257,27 +251,27 @@ def test_aggregate_empty_round_leaves_model_unchanged():
 
 def test_aggregate_ul_only_corrects_only_the_uplink():
     state = ModelState(weights=np.zeros(1), round=0)
-    profiles = [_profile(0.4, 0.5, j_ul=0.8)]
+    profiles = _profiles([0.4], j_ul=[0.8])
     updates = {0: np.array([1.0])}
     channel = _channel([0], [True], [True])
     p = np.array([1.0])
     ul_only = aggregate(
-        state, updates, channel, profiles, p, AggregatorKind.UL_ONLY
+        state, updates, channel, profiles, 0.5, p, AggregatorKind.UL_ONLY
     )
-    joint = aggregate(state, updates, channel, profiles, p, AggregatorKind.JOINT)
+    joint = aggregate(state, updates, channel, profiles, 0.5, p, AggregatorKind.JOINT)
     assert ul_only.weights[0] == pytest.approx(1.0 / (0.5 * 0.8))
     assert joint.weights[0] == pytest.approx(1.0 / (0.5 * 0.4))
 
 
 def test_aggregate_vanishing_probability_raises():
     state = ModelState(weights=np.zeros(1), round=0)
-    profiles = [_profile(0.0, 0.9)]
     channel = _channel([0], [True], [True])
-    with pytest.raises(ValueError, match="device 0"):
-        aggregate(
-            state, {0: np.array([1.0])}, channel, profiles,
-            np.array([1.0]), AggregatorKind.JOINT,
-        )
+    for j, q in ((0.0, 0.9), (0.5, 0.0)):
+        with pytest.raises(ValueError, match="device 0"):
+            aggregate(
+                state, {0: np.array([1.0])}, channel, _profiles([j]), q,
+                np.array([1.0]), AggregatorKind.JOINT,
+            )
 
 
 # -------------------------------------------------------------- global loss
@@ -324,7 +318,8 @@ def test_train_record_structure(table_params, fast_quad, small_bundle):
     result = train(cfg, params, AggregatorKind.JOINT, small_bundle, fast_quad)
     assert [r.round for r in result.records] == [0, 1, 2, 3]
     assert result.final_state.round == 3
-    assert len(result.profiles) == 5
+    for field in ("j_joint", "j_dl", "j_ul"):
+        assert getattr(result.profiles, field).shape == (5,)
     assert result.final_test_accuracy == result.records[-1].test_accuracy
     assert result.records[0].loss == pytest.approx(math.log(4), rel=1e-12)
     zero_rounds = TrainConfig(
@@ -367,8 +362,7 @@ def test_train_reliable_channel_reduces_to_fedavg(
     cfg = TrainConfig(epochs=1, batch_size=32, eta0=0.05, rounds=3, seed=2)
     joint = train(cfg, params, AggregatorKind.JOINT, small_bundle, fast_quad)
     fedavg = train(cfg, params, AggregatorKind.FEDAVG, small_bundle, fast_quad)
-    for prof in joint.profiles:
-        assert prof.j_joint == pytest.approx(1.0, abs=1e-9)
+    np.testing.assert_allclose(joint.profiles.j_joint, 1.0, rtol=0, atol=1e-9)
     np.testing.assert_allclose(
         joint.final_state.weights, fedavg.final_state.weights, atol=1e-10
     )

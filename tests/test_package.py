@@ -1,7 +1,10 @@
-"""Package structure: every name a module imports from a sibling is public."""
+"""Package structure: every name a module imports from a sibling is public,
+and every boundary the benchmark tracer patches exists as it expects."""
 
 import ast
 import importlib
+import inspect
+import sys
 from pathlib import Path
 
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "aerialfl"
@@ -26,3 +29,41 @@ def test_imported_public_names_are_exported():
         if exported is not None and not name.startswith("_") and name not in exported:
             missing.append(f"{importer} imports {module}.{name}")
     assert not missing, "names missing from __all__: " + "; ".join(missing)
+
+
+#: Argument positions the benchmark tracer's counters read, per function
+#: (module, name, argument, position); ``perfbench/tracing.py`` takes each
+#: argument by position, or by name when it is passed as a keyword.
+TRACED_ARGUMENTS = [
+    ("fl", "local_update", "data", 2),
+    ("fl", "local_update", "cfg", 3),
+    ("fl", "aggregate", "channel", 2),
+    ("montecarlo", "realize_round", "schedule", 1),
+    ("montecarlo", "estimate_coverage", "trials", 1),
+    ("montecarlo", "laplace_oracle", "trials", 3),
+    ("analytic", "laplace_dl", "s", 0),
+    ("analytic", "laplace_ul", "s", 0),
+    ("quadrature", "integrate_batch", "lower", 1),
+    ("cli", "write_csv", "path", 0),
+]
+
+
+def test_tracer_boundaries_exist_with_the_arguments_it_counts():
+    sys.path.insert(0, str(PACKAGE_DIR.parents[1] / "perfbench"))
+    try:
+        tracing = importlib.import_module("tracing")
+    finally:
+        sys.path.pop(0)
+    fl = importlib.import_module("aerialfl.fl")
+    original = fl.aggregate
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)  # patches every boundary by name
+        assert fl.aggregate is not original
+    finally:
+        tracer.restore()
+    assert fl.aggregate is original
+    for module, name, argument, position in TRACED_ARGUMENTS:
+        fn = getattr(importlib.import_module(f"aerialfl.{module}"), name)
+        params = list(inspect.signature(fn).parameters)
+        assert params.index(argument) == position, f"{module}.{name}({argument})"
