@@ -22,11 +22,20 @@ not enter its config hash.  Every CSV begins with ``#`` metadata lines
 carrying the resolved-config hash and the seed, and contains no
 timestamps, so rerunning an identical config produces identical bytes.
 The default output directory is taken from ``AERIALFL_OUT`` when set.
+
+:func:`main` keeps freed heap memory in the process (glibc's ``mallopt``,
+where it exists).  The Monte-Carlo engine frees and reallocates per-link
+arrays of about 1.6 MB for every batch; with glibc's defaults each one is a
+fresh mapping that page-faults on first touch, which cost a
+``coverage --trials 5000`` run about 600k minor faults.  The setting is made
+by ``main`` only, so a program that imports :mod:`aerialfl` as a library
+keeps its allocator's defaults.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -495,7 +504,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: glibc's ``mallopt`` parameters (``malloc.h``) and the values ``main`` sets:
+#: blocks up to 8 MB come from the heap, and up to 64 MB of freed memory stays
+#: mapped.  Setting the mmap threshold turns off glibc's dynamic threshold,
+#: so both are set together.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_KEPT_MEMORY = {_M_MMAP_THRESHOLD: 8 << 20, _M_TRIM_THRESHOLD: 64 << 20}
+
+
+def _keep_freed_memory() -> None:
+    """Make this process reuse freed heap memory instead of returning it.
+
+    Does nothing where the C library has no ``mallopt``.  The outputs do
+    not depend on it: only where the allocator places blocks changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    for param, value in _KEPT_MEMORY.items():
+        mallopt(param, value)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    _keep_freed_memory()
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import Direction, build_gain_pattern, los_probability
 from .geometry import Topology
-from .params import NetworkParams
+from .params import NetworkParams, is_integer, require_integers
 
 __all__ = [
     "CoverageEstimate",
@@ -49,6 +49,7 @@ class CoverageEstimate:
     trials: int
 
     def __post_init__(self):
+        require_integers(self, "trials")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         for p in (self.p_joint, self.p_ul, self.p_dl):
@@ -91,6 +92,24 @@ def _draw_los(dist: np.ndarray, params: NetworkParams, rng: np.random.Generator)
     return rng.random(dist.size) < p_los
 
 
+def _draw_gains(pattern, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` independent antenna gains drawn from ``pattern``.
+
+    The same draws, bit for bit, as ``rng.choice(pattern.gains, size=n,
+    p=pattern.probs)`` on numpy 2.x, which normalizes the cumulative sum,
+    draws ``rng.random(n)`` and counts the cdf edges at or below each
+    uniform.  Counting with one comparison per edge takes less than half
+    of ``choice``'s time.
+    """
+    cdf = pattern.probs.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    idx = np.zeros(n, dtype=np.uint8)
+    for edge in cdf[:-1]:
+        idx += u >= edge
+    return pattern.gains[idx]
+
+
 def _interferer_field(
     parent_radii: np.ndarray,
     owner: np.ndarray,
@@ -125,7 +144,7 @@ def _interferer_field(
     else:
         dist = parent_radii
     is_los = _draw_los(dist, params, rng)
-    gains = rng.choice(pattern.gains, size=n, p=pattern.probs)
+    gains = _draw_gains(pattern, n, rng)
     fading = np.empty(n)
     n_los = int(is_los.sum())
     if n_los:
@@ -218,8 +237,8 @@ def estimate_coverage(
     once (shared by both directions), and tests both SINR thresholds with
     independent fading and interference per direction.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    if not is_integer(trials) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, not {trials!r}")
     joint = dl = ul = 0
     for n, stream in _batches(trials, rng):
         bj, bd, bu = _coverage_batch(params, n, stream)
@@ -249,8 +268,8 @@ def laplace_oracle(
     direction = Direction(direction)
     if s < 0 or not math.isfinite(s):
         raise ValueError("s must be finite and non-negative")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    if not is_integer(trials) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, not {trials!r}")
     pattern = build_gain_pattern(params)
     tx_power = params.p_uav if direction is Direction.DL else params.p_device
     offset = direction is Direction.UL
@@ -284,7 +303,10 @@ def realize_round(
     serving LOS class is drawn once per device and shared by both
     directions within the round.
     """
-    schedule = np.asarray(schedule, dtype=int)
+    schedule = np.asarray(schedule)
+    if schedule.dtype.kind not in "iu":
+        raise ValueError(f"schedule must hold integer device ids, not {schedule.dtype}")
+    schedule = schedule.astype(int, copy=False)
     n = schedule.size
     n_devices = topology.serving_distances.size
     if n == 0 or np.any(schedule < 0) or np.any(schedule >= n_devices):

@@ -15,6 +15,7 @@ from aerialfl.montecarlo import (
     CoverageEstimate,
     RoundChannel,
     _coverage_batch,
+    _draw_gains,
     _interferer_field,
     _link_success,
     _parent_radii,
@@ -56,6 +57,31 @@ def test_coverage_estimate_validation():
         _estimate(-0.1, 0.7, 0.5, 1000)
     with pytest.raises(ValueError, match="trials"):
         _estimate(0.4, 0.7, 0.5, 0)
+    for bad in (True, 1000.0):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            _estimate(0.4, 0.7, 0.5, bad)
+
+
+@pytest.mark.parametrize("n", [1, 904, 2048, 204_808])
+@pytest.mark.parametrize("beamwidth_uav", [None, 2.0 * math.pi])
+def test_gain_draw_matches_rng_choice(table_params, n, beamwidth_uav):
+    """The gain draw pins what ``rng.choice`` draws on the installed numpy.
+
+    numpy does not promise ``choice``'s algorithm, so this is the check that
+    the field draws still match it; an omnidirectional UAV antenna gives a
+    pattern with zero-probability entries.
+    """
+    params = table_params
+    if beamwidth_uav is not None:
+        params = params.with_(beamwidth_uav=beamwidth_uav)
+    pattern = build_gain_pattern(params)
+    assert (pattern.probs == 0.0).any() == (beamwidth_uav is not None)
+    by_choice, by_count = np.random.default_rng(n), np.random.default_rng(n)
+    expected = by_choice.choice(pattern.gains, size=n, p=pattern.probs)
+    drawn = _draw_gains(pattern, n, by_count)
+    assert drawn.dtype == expected.dtype
+    np.testing.assert_array_equal(drawn, expected)
+    assert by_count.random() == by_choice.random()
 
 
 def test_interferer_field_empty_and_mean(table_params, rng):
@@ -231,6 +257,39 @@ def test_realize_round_deterministic_and_aligned(table_params):
     np.testing.assert_array_equal(
         first.joint_success, first.dl_success & first.ul_success
     )
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, 2048.0, np.float64(3.0)])
+def test_monte_carlo_trials_must_be_integers(table_params, bad):
+    # Before, True ran one trial, 2048.0 ran a batch and 2.5 died inside
+    # ``SeedSequence.spawn``.
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        estimate_coverage(table_params, bad, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        laplace_oracle(table_params, "dl", 1e-3, bad, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "schedule", [[0.7, 1.2, 2.9], np.array([1.0, 3.0]), [True, False]]
+)
+def test_realize_round_rejects_non_integer_schedules(table_params, schedule):
+    # Before, floats were truncated to device ids and booleans read as 1 and 0.
+    topology = sample_topology(table_params, np.random.default_rng(2))
+    with pytest.raises(ValueError, match="integer device ids"):
+        realize_round(topology, schedule, table_params, np.random.default_rng(0))
+
+
+def test_realize_round_accepts_any_integer_dtype(table_params):
+    topology = sample_topology(table_params, np.random.default_rng(2))
+    by_kind = [
+        realize_round(topology, np.array([0, 3, 7], dtype=dtype), table_params,
+                      np.random.default_rng(9))
+        for dtype in (np.int64, np.int32, np.uint8)
+    ]
+    for channel in by_kind:
+        assert channel.device_ids.dtype == np.int64
+        np.testing.assert_array_equal(channel.dl_success, by_kind[0].dl_success)
+        np.testing.assert_array_equal(channel.ul_success, by_kind[0].ul_success)
 
 
 def test_realize_round_rejects_bad_schedules(table_params):

@@ -55,3 +55,64 @@ def test_output_census_reproduces_the_pinned_validate_output():
     )
     pinned = json.loads((ROOT / "perfbench" / "reference.json").read_text())
     assert proc.stdout.split() == ["oracle-validate", "0", "0", "0", pinned["oracle-validate"]]
+
+
+#: A stand-in for ``perfbench/run.py``: logs its side and prints a machine
+#: record and a verdict whose ``wall_s`` is the side's next listed value.
+STUB_RUN = '''
+import json, sys
+from pathlib import Path
+here = Path(__file__).resolve().parent
+side = here.parent.name
+calls = here / "calls"
+n = len(calls.read_text().splitlines()) if calls.exists() else 0
+with open(here.parent.parent / "order.log", "a") as fh:
+    fh.write(side + "\\n")
+calls.write_text("x\\n" * (n + 1))
+walls = {"parent": [4.0, 5.0, 3.0, 4.5], "change": [3.0, 2.5, 3.5, 2.0]}[side]
+print("machine: " + json.dumps({"nproc": 2, "contended": side == "change" and n == 1}))
+print(json.dumps({
+    "correct": True, "attempted": 52, "failed": 1 if side == "parent" and n == 0 else 0,
+    "metrics": {"setup_s": {"value": 0.2, "unit": "s"},
+                "wall_s": {"value": walls[n], "unit": "s"},
+                "units_per_s": {"value": 26 / walls[n], "unit": "1/s"},
+                "peak_rss_mb": {"value": 60.0 if side == "parent" else 70.0, "unit": "MB"}},
+}))
+'''
+
+
+def test_bench_pairs_alternates_and_summarizes(tmp_path):
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(STUB_RUN)
+    out = tmp_path / "BENCH.json"
+    subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench_pairs.py"), "--parent", str(tmp_path / "parent"),
+         "--change", str(tmp_path / "change"), "--workload", "coverage-sweep",
+         "--seed", "11", "--pairs", "4", "--out", str(out)],
+        capture_output=True, text=True, check=True,
+    )
+    order = (tmp_path / "order.log").read_text().split()
+    assert order == ["parent", "change", "change", "parent"] * 2
+    report = json.loads(out.read_text())
+    assert len(report["runs"]) == 8
+    assert report["runs"][1]["machine"] == {"nproc": 2, "contended": False}
+    assert all(run["verdict"]["correct"] for run in report["runs"])
+    [summary] = report["workloads"]
+    assert (summary["workload"], summary["seed"], summary["pairs"]) == ("coverage-sweep", 11, 4)
+    wall = summary["metrics"]["wall_s"]
+    assert wall["parent"] == {"median": 4.25, "q1": 3.75, "q3": 4.625, "n": 4}
+    assert wall["change"] == {"median": 2.75, "q1": 2.375, "q3": 3.125, "n": 4}
+    assert wall["change_over_parent"] == pytest.approx(2.75 / 4.25)
+    assert wall["within_bound"] and wall["gain"] == pytest.approx(1.5)
+    # Pair 2 runs 3.0 s at the parent and 3.5 s with the change.
+    assert wall["gain_exceeds_parent_iqr"] and wall["change_wins"] == "3/4"
+    units = summary["metrics"]["units_per_s"]
+    assert units["better"] == "higher" and units["change_wins"] == "3/4"
+    # +16.7% memory is outside the 10% bound; equal set-up times win no pair.
+    rss = summary["metrics"]["peak_rss_mb"]
+    assert not rss["within_bound"] and rss["change_wins"] == "0/4"
+    assert summary["metrics"]["setup_s"]["change_wins"] == "0/4"
+    assert summary["failures"]["parent"]["failed/attempted"] == "1/208"
+    assert summary["failures"]["change"]["failed/attempted"] == "0/208"
+    assert summary["failures"]["change"]["contended_runs"] == 1
