@@ -21,14 +21,18 @@ holds, per workload and end-to-end metric of ``BENCHMARK.json``:
   value is better, and whether it exceeds the parent's interquartile range;
 - the pairs the change won;
 
-and each side's ``failed/attempted`` operations.  The file is rewritten
-after every run, so an interrupted invocation keeps what it measured.
+and each side's ``failed/attempted`` operations and the minimum and median
+count of experiments that fitted in one run.  A run that fits only one
+experiment times that experiment alone, so a claim on such a workload
+shows here.  The file is rewritten after every run, so an interrupted
+invocation keeps what it measured.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -51,6 +55,8 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     lines = proc.stdout.splitlines()
     machine = next((json.loads(line.split(":", 1)[1]) for line in lines
                     if line.startswith("machine:")), None)
+    experiments = next((int(m[1]) for line in lines
+                        if (m := re.search(r"\bexperiments=(\d+)\b", line))), None)
     try:
         verdict = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
@@ -59,6 +65,7 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
         "returncode": proc.returncode,
         "invocation_s": round(time.monotonic() - started, 2),
         "machine": machine,
+        "experiments": experiments,
         "verdict": verdict,
     }
 
@@ -108,8 +115,13 @@ def compare(runs: list[dict], name: str, better: str, bound: float) -> dict | No
 
 
 def summarize(workload: str, seed: int, runs: list[dict], end_to_end: list[dict]) -> dict:
-    failures = {}
+    failures, experiments = {}, {}
     for side in SIDES:
+        counts = [r["experiments"] for r in runs
+                  if r["side"] == side and r["experiments"] is not None]
+        experiments[side] = (
+            {"min": min(counts), "median": statistics.median(counts)} if counts else None
+        )
         verdicts = [r["verdict"] for r in runs if r["side"] == side and r["verdict"]]
         failed = sum(v["failed"] for v in verdicts)
         attempted = sum(v["attempted"] for v in verdicts)
@@ -128,6 +140,7 @@ def summarize(workload: str, seed: int, runs: list[dict], end_to_end: list[dict]
         "pairs": len({r["pair"] for r in runs}),
         "metrics": metrics,
         "failures": failures,
+        "experiments_per_run": experiments,
     }
 
 

@@ -24,12 +24,13 @@ timestamps, so rerunning an identical config produces identical bytes.
 The default output directory is taken from ``AERIALFL_OUT`` when set.
 
 :func:`main` keeps freed heap memory in the process (glibc's ``mallopt``,
-where it exists).  The Monte-Carlo engine frees and reallocates per-link
-arrays of about 1.6 MB for every batch; with glibc's defaults each one is a
-fresh mapping that page-faults on first touch, which cost a
-``coverage --trials 5000`` run about 600k minor faults.  The setting is made
-by ``main`` only, so a program that imports :mod:`aerialfl` as a library
-keeps its allocator's defaults.
+where it exists).  The Monte-Carlo engine runs its batches at the same
+time, one per available core; each batch holds about 10 MB, reusing its
+per-link arrays of about 1.6 MB in place, and frees them when it ends.
+With glibc's defaults each such array is a fresh mapping that page-faults
+on first touch, which cost a ``coverage --trials 5000`` run about 600k
+minor faults.  The setting is made by ``main`` only, so a program that
+imports :mod:`aerialfl` as a library keeps its allocator's defaults.
 """
 
 from __future__ import annotations

@@ -9,11 +9,14 @@ coverage expressions are validated against.
 
 Trials are vectorized in batches of a fixed size; each batch consumes its
 own child stream spawned from the caller's generator, so an estimate depends
-only on the generator and the trial count.
+only on the generator and the trial count.  The oracles run their batches
+at the same time, one per available core (:func:`_map_batches`).
 """
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,27 +135,41 @@ def _interferer_field(
     n = parent_radii.size
     if n == 0:
         return np.zeros(n_owners)
+    # Every per-link array is built in place: with batches in flight on
+    # every core, temporaries would multiply the peak memory.  Each step
+    # gives the bits of r² + m² + 2·r·m·cos ψ and of
+    # P·g·F·(d² + h²)^(-α/2) evaluated left to right (doubling, negation
+    # and halving are exact; multiplication commutes).
     if device_offset:
         member = params.cluster_radius * np.sqrt(rng.random(n))
         psi = rng.uniform(0.0, 2.0 * math.pi, n)
-        dist_sq = (
-            parent_radii**2
-            + member**2
-            + 2.0 * parent_radii * member * np.cos(psi)
-        )
-        dist = np.sqrt(np.maximum(dist_sq, 0.0))
+        dist = parent_radii**2
+        dist += member**2
+        np.cos(psi, out=psi)
+        member *= 2.0
+        member *= parent_radii
+        member *= psi
+        dist += member
+        del member, psi
+        np.maximum(dist, 0.0, out=dist)
+        np.sqrt(dist, out=dist)
     else:
         dist = parent_radii
     is_los = _draw_los(dist, params, rng)
-    gains = _draw_gains(pattern, n, rng)
+    received = _draw_gains(pattern, n, rng).astype(float, copy=False)
     fading = np.empty(n)
     n_los = int(is_los.sum())
     if n_los:
         fading[is_los] = rng.gamma(params.m_los, 1.0 / params.m_los, n_los)
     if n - n_los:
         fading[~is_los] = rng.gamma(params.m_nlos, 1.0 / params.m_nlos, n - n_los)
-    alpha = np.where(is_los, params.alpha_los, params.alpha_nlos)
-    received = tx_power * gains * fading * (dist**2 + params.height**2) ** (-alpha / 2.0)
+    received *= tx_power
+    received *= fading
+    exponent = np.where(is_los, -params.alpha_los / 2.0, -params.alpha_nlos / 2.0)
+    path = np.square(dist, out=fading)
+    path += params.height**2
+    np.power(path, exponent, out=path)
+    received *= path
     return np.bincount(owner, weights=received, minlength=n_owners)
 
 
@@ -214,6 +231,27 @@ def _batches(trials: int, rng: np.random.Generator):
         yield min(_BATCH, trials - b * _BATCH), stream
 
 
+def _map_batches(fn, trials: int, rng: np.random.Generator) -> list:
+    """``fn(n, stream)`` of every batch of :func:`_batches`, in batch order.
+
+    The batches run at the same time on a thread pool, one thread per
+    available core.  Each batch draws only from its own stream, spawned
+    before any runs, and numpy's generators and ufuncs release the GIL on
+    arrays of a batch's size, so the results do not depend on the number
+    of threads or on which finishes first.  A batch that raises re-raises
+    here.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    sizes, streams = zip(*_batches(trials, rng))
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # not provided on macOS and Windows
+        cores = os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=min(len(sizes), cores)) as pool:
+        return list(pool.map(fn, sizes, streams))
+
+
 def _coverage_batch(
     params: NetworkParams, n_trials: int, rng: np.random.Generator
 ) -> tuple[int, int, int]:
@@ -239,12 +277,8 @@ def estimate_coverage(
     """
     if not is_integer(trials) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, not {trials!r}")
-    joint = dl = ul = 0
-    for n, stream in _batches(trials, rng):
-        bj, bd, bu = _coverage_batch(params, n, stream)
-        joint += bj
-        dl += bd
-        ul += bu
+    counts = _map_batches(functools.partial(_coverage_batch, params), trials, rng)
+    joint, dl, ul = (sum(column) for column in zip(*counts))
     return CoverageEstimate(
         p_joint=joint / trials,
         p_ul=ul / trials,
@@ -273,17 +307,21 @@ def laplace_oracle(
     pattern = build_gain_pattern(params)
     tx_power = params.p_uav if direction is Direction.DL else params.p_device
     offset = direction is Direction.UL
-    total = 0.0
-    total_sq = 0.0
-    for n, stream in _batches(trials, rng):
+
+    def batch(n: int, stream: np.random.Generator) -> tuple[float, float]:
         radii, owner = _parent_radii(n, params, stream)
         field = _interferer_field(
             radii, owner, n, tx_power, params, pattern, stream,
             device_offset=offset,
         )
         values = np.exp(-s * field)
-        total += float(values.sum())
-        total_sq += float((values**2).sum())
+        return float(values.sum()), float((values**2).sum())
+
+    total = 0.0
+    total_sq = 0.0
+    for batch_total, batch_sq in _map_batches(batch, trials, rng):
+        total += batch_total
+        total_sq += batch_sq
     mean = total / trials
     variance = max(total_sq / trials - mean**2, 0.0)
     half_width = 1.96 * math.sqrt(variance / trials)

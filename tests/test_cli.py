@@ -12,7 +12,7 @@ import yaml
 import numpy as np
 import pytest
 
-from aerialfl import cli
+from aerialfl import cli, montecarlo
 from aerialfl.cli import (
     OUTPUT_DIR_ENV,
     _environment_points,
@@ -96,6 +96,30 @@ def test_coverage_analytic_only_reruns_byte_identical(tmp_path):
     assert lines[-1].startswith("45,")
     # trials = 0 leaves the four Monte-Carlo cells empty.
     assert lines[-1].endswith(",,,,")
+
+
+def test_coverage_notes_a_monte_carlo_batch_that_fails(tmp_path, monkeypatch):
+    """A batch raising on a worker thread fails its height's row only."""
+    coverage_batch = montecarlo._coverage_batch
+
+    def fail_batch_2_at_60(params, n_trials, rng):
+        if params.height == 60.0 and rng.bit_generator.seed_seq.spawn_key == (2,):
+            raise FloatingPointError("batch 2 failed")
+        return coverage_batch(params, n_trials, rng)
+
+    monkeypatch.setattr(montecarlo, "_coverage_batch", fail_batch_2_at_60)
+    config = _write_config(
+        tmp_path / "cfg.yaml",
+        {"sweep": {"name": "height", "values": [45.0, 60.0]}, "trials": 3 * montecarlo._BATCH},
+    )
+    out_dir = tmp_path / "out"
+    assert main(["coverage", "--config", str(config), "--out", str(out_dir)]) == 1
+    lines = (out_dir / "coverage.csv").read_text().splitlines()
+    assert [l for l in lines if l.startswith("# partial-failure")] == [
+        "# partial-failure: height=60: batch 2 failed"
+    ]
+    assert lines[-1] == "60,,,,,,,"
+    assert all(lines[-2].split(","))
 
 
 def test_coverage_with_trials_fills_mc_columns(tmp_path):

@@ -1,6 +1,8 @@
 """Monte-Carlo reference simulators: coverage, Laplace oracle, round channels."""
 
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,12 +14,16 @@ from aerialfl.channel import Direction, LinkType, build_gain_pattern, los_probab
 from aerialfl.geometry import sample_topology
 from aerialfl.params import db_to_linear
 from aerialfl.montecarlo import (
+    _BATCH,
     CoverageEstimate,
     RoundChannel,
+    _batches,
     _coverage_batch,
     _draw_gains,
+    _draw_los,
     _interferer_field,
     _link_success,
+    _map_batches,
     _parent_radii,
     binomial_half_width,
     estimate_coverage,
@@ -123,6 +129,83 @@ def test_interferer_field_both_directions_finite(table_params, rng):
         )
         assert field.shape == (50,)
         assert np.all(np.isfinite(field)) and np.all(field >= 0.0)
+
+
+def _expression_field(parent_radii, owner, n_owners, tx_power, params, pattern, rng,
+                      *, device_offset):
+    """The interference field written as one expression per quantity.
+
+    The reference that the in-place :func:`_interferer_field` must match
+    bit for bit: the same draws, and each product and sum evaluated left to
+    right.
+    """
+    n = parent_radii.size
+    if n == 0:
+        return np.zeros(n_owners)
+    if device_offset:
+        member = params.cluster_radius * np.sqrt(rng.random(n))
+        psi = rng.uniform(0.0, 2.0 * math.pi, n)
+        dist_sq = parent_radii**2 + member**2 + 2.0 * parent_radii * member * np.cos(psi)
+        dist = np.sqrt(np.maximum(dist_sq, 0.0))
+    else:
+        dist = parent_radii
+    is_los = _draw_los(dist, params, rng)
+    gains = _draw_gains(pattern, n, rng)
+    fading = np.empty(n)
+    n_los = int(is_los.sum())
+    if n_los:
+        fading[is_los] = rng.gamma(params.m_los, 1.0 / params.m_los, n_los)
+    if n - n_los:
+        fading[~is_los] = rng.gamma(params.m_nlos, 1.0 / params.m_nlos, n - n_los)
+    alpha = np.where(is_los, params.alpha_los, params.alpha_nlos)
+    received = tx_power * gains * fading * (dist**2 + params.height**2) ** (-alpha / 2.0)
+    return np.bincount(owner, weights=received, minlength=n_owners)
+
+
+@pytest.mark.parametrize("n", [0, 1, 904, 204_808])
+@pytest.mark.parametrize("device_offset", [False, True])
+@pytest.mark.parametrize("integer_settings", [False, True])
+def test_interferer_field_matches_the_expression_form(
+    table_params, n, device_offset, integer_settings
+):
+    """In-place arithmetic gives the field's bits and leaves the radii alone.
+
+    Integer gains and powers make an integer gain pattern, which the
+    in-place products must still turn into a float field.
+    """
+    params = table_params.with_(height=45.0)
+    if integer_settings:
+        params = params.with_(gain_main_uav=10, gain_main_device=3, gain_side_uav=1,
+                              gain_side_device=1, p_uav=1, p_device=1)
+    pattern = build_gain_pattern(params)
+    tx_power = params.p_device if device_offset else params.p_uav
+    setup = np.random.default_rng(n)
+    n_owners = max(n // 100, 1)
+    radii = params.window_radius * np.sqrt(setup.random(n))
+    owner = np.sort(setup.integers(0, n_owners, n))
+    kept = radii.copy()
+    by_expression, in_place = np.random.default_rng(7), np.random.default_rng(7)
+    expected = _expression_field(radii, owner, n_owners, tx_power, params, pattern,
+                                 by_expression, device_offset=device_offset)
+    field = _interferer_field(radii, owner, n_owners, tx_power, params, pattern,
+                              in_place, device_offset=device_offset)
+    assert field.dtype == expected.dtype == np.float64
+    assert np.array_equal(field, expected)
+    assert in_place.random() == by_expression.random()
+    np.testing.assert_array_equal(radii, kept)
+
+
+def test_coverage_batch_memory_ceiling(table_params):
+    """One batch's peak allocation, which each batch in flight adds to RSS."""
+    params = table_params.with_(height=45.0)
+    tracemalloc.start()
+    try:
+        _coverage_batch(params, _BATCH, np.random.default_rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # About 10.2 MB in place; 21.6 MB with a temporary per operation.
+    assert peak < 13e6
 
 
 def test_link_success_sinr_arithmetic(table_params):
@@ -232,6 +315,69 @@ def test_laplace_oracle_agrees_with_closed_form(table_params, fast_quad):
         table_params, Direction.UL, s, 20_000, np.random.default_rng(17)
     )
     assert abs(closed - mc) <= 0.01 * mc + 2.0 * half
+
+
+def _serial_coverage(params, trials, rng):
+    """:func:`estimate_coverage` with its batches run one after another."""
+    joint = dl = ul = 0
+    for n, stream in _batches(trials, rng):
+        bj, bd, bu = _coverage_batch(params, n, stream)
+        joint += bj
+        dl += bd
+        ul += bu
+    return CoverageEstimate(p_joint=joint / trials, p_ul=ul / trials,
+                            p_dl=dl / trials, trials=trials)
+
+
+def _serial_laplace(params, direction, s, trials, rng):
+    """:func:`laplace_oracle` with its batches run one after another."""
+    pattern = build_gain_pattern(params)
+    tx_power = params.p_uav if direction is Direction.DL else params.p_device
+    total = total_sq = 0.0
+    for n, stream in _batches(trials, rng):
+        radii, owner = _parent_radii(n, params, stream)
+        field = _interferer_field(radii, owner, n, tx_power, params, pattern, stream,
+                                  device_offset=direction is Direction.UL)
+        values = np.exp(-s * field)
+        total += float(values.sum())
+        total_sq += float((values**2).sum())
+    mean = total / trials
+    return mean, 1.96 * math.sqrt(max(total_sq / trials - mean**2, 0.0) / trials)
+
+
+@pytest.mark.parametrize("trials", [1, 2048, 2049, 20_000])
+@pytest.mark.parametrize("cores", [None, 1, 8, "unknown"])
+def test_batches_in_flight_match_a_serial_loop(table_params, monkeypatch, trials, cores):
+    """Neither the thread count nor the finishing order moves a result.
+
+    ``cores`` is the affinity mask's size: the machine's, one CPU, more
+    threads than this machine has cores, or a platform without
+    ``sched_getaffinity``.
+    """
+    if cores == "unknown":
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    elif cores is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    params = table_params.with_(height=45.0)
+    assert estimate_coverage(params, trials, np.random.default_rng(trials)) == (
+        _serial_coverage(params, trials, np.random.default_rng(trials)))
+    for direction in Direction:
+        assert laplace_oracle(params, direction, 1e3, trials, np.random.default_rng(trials)) == (
+            _serial_laplace(params, direction, 1e3, trials, np.random.default_rng(trials)))
+
+
+def test_map_batches_keeps_batch_order_and_reraises():
+    sizes = _map_batches(lambda n, stream: n, 2 * _BATCH + 1, np.random.default_rng(0))
+    assert sizes == [_BATCH, _BATCH, 1]
+
+    def fail_batch_2(n, stream):
+        if stream.bit_generator.seed_seq.spawn_key == (2,):
+            raise FloatingPointError("batch 2 failed")
+        return n
+
+    with pytest.raises(FloatingPointError, match="batch 2 failed"):
+        _map_batches(fail_batch_2, 5 * _BATCH, np.random.default_rng(0))
 
 
 def test_laplace_oracle_validation(table_params):

@@ -5,7 +5,11 @@ import ast
 import importlib
 import inspect
 import sys
+import threading
+import time
 from pathlib import Path
+
+import numpy as np
 
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "aerialfl"
 
@@ -48,12 +52,16 @@ TRACED_ARGUMENTS = [
 ]
 
 
-def test_tracer_boundaries_exist_with_the_arguments_it_counts():
+def _tracing():
     sys.path.insert(0, str(PACKAGE_DIR.parents[1] / "perfbench"))
     try:
-        tracing = importlib.import_module("tracing")
+        return importlib.import_module("tracing")
     finally:
         sys.path.pop(0)
+
+
+def test_tracer_boundaries_exist_with_the_arguments_it_counts():
+    tracing = _tracing()
     fl = importlib.import_module("aerialfl.fl")
     original = fl.aggregate
     tracer = tracing.Tracer()
@@ -67,3 +75,24 @@ def test_tracer_boundaries_exist_with_the_arguments_it_counts():
         fn = getattr(importlib.import_module(f"aerialfl.{module}"), name)
         params = list(inspect.signature(fn).parameters)
         assert params.index(argument) == position, f"{module}.{name}({argument})"
+
+
+def test_traced_boundaries_run_on_the_main_thread(table_params):
+    """The tracer keeps one span stack, so no boundary it patches may be
+    entered on a Monte-Carlo worker thread."""
+    tracing = _tracing()
+    cli = importlib.import_module("aerialfl.cli")
+    batch = importlib.import_module("aerialfl.montecarlo")._BATCH
+
+    def main_thread_clock():
+        assert threading.current_thread() is threading.main_thread()
+        return time.perf_counter()
+
+    tracer = tracing.Tracer(clock=main_thread_clock)
+    try:
+        tracing.install(tracer)
+        cli.estimate_coverage(table_params, 4 * batch, np.random.default_rng(0))
+        cli.laplace_oracle(table_params, "ul", 1e3, 4 * batch, np.random.default_rng(1))
+    finally:
+        tracer.restore()
+    assert tracer.names == ["montecarlo.estimate_coverage", "montecarlo.laplace_oracle"]

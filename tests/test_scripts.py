@@ -58,7 +58,8 @@ def test_output_census_reproduces_the_pinned_validate_output():
 
 
 #: A stand-in for ``perfbench/run.py``: logs its side and prints a machine
-#: record and a verdict whose ``wall_s`` is the side's next listed value.
+#: record, a summary line and a verdict whose ``wall_s`` and experiment
+#: count are the side's next listed values.
 STUB_RUN = '''
 import json, sys
 from pathlib import Path
@@ -71,6 +72,8 @@ with open(here.parent.parent / "order.log", "a") as fh:
 calls.write_text("x\\n" * (n + 1))
 walls = {"parent": [4.0, 5.0, 3.0, 4.5], "change": [3.0, 2.5, 3.5, 2.0]}[side]
 print("machine: " + json.dumps({"nproc": 2, "contended": side == "change" and n == 1}))
+experiments = {"parent": [1, 2, 1, 3], "change": [4, 6, 8, 10]}[side]
+print(f"coverage-sweep seed=11 trace=0 experiments={experiments[n]} elapsed=20.1 s")
 print(json.dumps({
     "correct": True, "attempted": 52, "failed": 1 if side == "parent" and n == 0 else 0,
     "metrics": {"setup_s": {"value": 0.2, "unit": "s"},
@@ -116,3 +119,7 @@ def test_bench_pairs_alternates_and_summarizes(tmp_path):
     assert summary["failures"]["parent"]["failed/attempted"] == "1/208"
     assert summary["failures"]["change"]["failed/attempted"] == "0/208"
     assert summary["failures"]["change"]["contended_runs"] == 1
+    assert [run["experiments"] for run in report["runs"] if run["side"] == "parent"] == [1, 2, 1, 3]
+    assert summary["experiments_per_run"] == {
+        "parent": {"min": 1, "median": 1.5}, "change": {"min": 4, "median": 7.0},
+    }
