@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import NetworkParams
+from .params import NetworkParams, is_integer
 
 
 class LinkType(enum.Enum):
@@ -91,7 +91,7 @@ def build_gain_pattern(params: NetworkParams) -> GainPattern:
 
 def gamma_ccdf_exact(m: int, x):
     """P[X > x] for X ~ Gamma(m, 1/m), via the finite Erlang series."""
-    if not isinstance(m, int) or m < 1:
+    if not is_integer(m) or m < 1:
         raise ValueError("m must be a positive integer")
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):

@@ -60,7 +60,13 @@ from .channel import Direction, LinkType
 from .data import DataBundle, load_mnist, synthetic_blobs
 from .fl import AggregatorKind, TrainConfig, TrainResult, train
 from .montecarlo import binomial_half_width, estimate_coverage, laplace_oracle
-from .params import ENVIRONMENT_PRESETS, NetworkParams, is_integer, require_integers
+from .params import (
+    ENVIRONMENT_PRESETS,
+    NetworkParams,
+    is_integer,
+    is_real,
+    require_integers,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -127,6 +133,8 @@ class ExperimentConfig:
             raise ValueError("dataset must be 'synthetic' or 'mnist'")
         if self.n_train < 1 or self.n_test < 1:
             raise ValueError("dataset sizes must be positive")
+        if self.dataset_seed < 0:
+            raise ValueError("dataset_seed must be non-negative")
 
     def config_hash(self) -> str:
         """Short stable hash of every field that affects the outputs."""
@@ -226,12 +234,20 @@ def load_config(path: Path | None, args: argparse.Namespace) -> ExperimentConfig
         )
     if sweep_name != "none" and not values:
         raise SystemExit(f"subcommand '{command}' needs at least one sweep value")
+    if sweep_name == "height":
+        bad = ", ".join(repr(v) for v in values if not is_real(v))
+        if bad:
+            raise SystemExit(f"height values must be finite real numbers, not {bad}")
 
     # Training never reads trials; pinning it keeps equal runs' hashes equal.
     trials = DEFAULT_TRIALS if training_command else setting("trials", DEFAULT_TRIALS)
     out_dir = setting("out", os.environ.get(OUTPUT_DIR_ENV, "results"))
     mnist_dir = setting("mnist_dir", None)
     agg_values = setting("aggregators", [k.value for k in AggregatorKind], "aggregator")
+    if not isinstance(agg_values, list):
+        raise SystemExit(f"aggregators must be a list, not {agg_values!r}")
+    if not agg_values:
+        raise SystemExit(f"subcommand '{command}' needs at least one aggregator")
     aggregators = tuple(AggregatorKind(v) for v in agg_values)
 
     return ExperimentConfig(

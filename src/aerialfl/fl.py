@@ -134,6 +134,8 @@ class TrainConfig:
             self, "epochs", "batch_size", "rounds", "seed", "shards_per_device"
         )
         require_reals(self, "eta0", "lr_decay")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
@@ -252,15 +254,9 @@ def local_update(
     return ModelState(weights=w, round=state.round)
 
 
-def _update_weights(update: ModelState | np.ndarray) -> np.ndarray:
-    if isinstance(update, ModelState):
-        return update.weights
-    return np.asarray(update, dtype=float)
-
-
 def aggregate(
     state: ModelState,
-    updates: Mapping[int, ModelState | np.ndarray],
+    updates: Mapping[int, np.ndarray],
     channel: RoundChannel,
     profiles: SuccessProfile,
     q: float,
@@ -300,7 +296,7 @@ def aggregate(
             coefficients.append(p[k] / (q * j))
     delta = np.zeros_like(w)
     for k, c in zip(arrived, coefficients):
-        delta += c * (_update_weights(updates[k]) - w)
+        delta += c * (updates[k] - w)
     return ModelState(weights=w + delta, round=state.round + 1)
 
 
@@ -389,8 +385,9 @@ def train(
         channel = realize_round(
             topology, sched, params, _stream(cfg.seed, _KEY_CHANNEL, t)
         )
+        weights = {k: u.weights for k, u in updates.items()}
         state = aggregate(
-            state, updates, channel, profiles, params.scheduling_probability, p, kind
+            state, weights, channel, profiles, params.scheduling_probability, p, kind
         )
         records.append(metrics(state))
     return TrainResult(

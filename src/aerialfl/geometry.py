@@ -13,6 +13,17 @@ import numpy as np
 
 from .params import NetworkParams
 
+
+def _uniform_disk(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
+    """``(n, 2)`` points uniform on the disk of ``radius`` about the origin.
+
+    Draws the radii before the angles; seeded outputs depend on the order.
+    """
+    radii = radius * np.sqrt(rng.random(n))
+    angles = rng.uniform(0.0, 2.0 * math.pi, n)
+    return np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
+
+
 def sample_ppp(lam: float, window_radius: float, rng: np.random.Generator) -> np.ndarray:
     """Sample a homogeneous Poisson point process on a disk at the origin.
 
@@ -24,9 +35,7 @@ def sample_ppp(lam: float, window_radius: float, rng: np.random.Generator) -> np
     if lam <= 0 or window_radius <= 0:
         raise ValueError("density and window radius must be positive")
     n = rng.poisson(lam * math.pi * window_radius**2)
-    radii = window_radius * np.sqrt(rng.random(n))
-    angles = rng.uniform(0.0, 2.0 * math.pi, n)
-    return np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
+    return _uniform_disk(n, window_radius, rng)
 
 
 def sample_cluster(
@@ -37,10 +46,7 @@ def sample_cluster(
         raise ValueError("cluster size must be >= 1")
     if radius <= 0:
         raise ValueError("cluster radius must be positive")
-    radii = radius * np.sqrt(rng.random(n))
-    angles = rng.uniform(0.0, 2.0 * math.pi, n)
-    offsets = np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
-    return np.asarray(center, dtype=float) + offsets
+    return np.asarray(center, dtype=float) + _uniform_disk(n, radius, rng)
 
 
 def serving_distance_pdf(r, R: float):
@@ -70,20 +76,16 @@ def arc_distance_pdf(g, q, R: float):
 
 @dataclass(frozen=True)
 class Topology:
-    """One realization of the spatial process.
+    """One realization of the spatial process, as horizontal distances.
 
-    ``uav_positions[0]`` is the typical cluster head, pinned to the origin;
-    the remaining rows are the interfering heads from the PPP sample.
-    ``serving_distances`` holds the horizontal device-to-head distances of
-    the typical cluster's devices.
+    The typical cluster head sits at the origin. ``head_distances`` holds
+    the distances from the origin of the interfering heads of the PPP
+    sample; ``serving_distances`` holds the device-to-head distances of the
+    typical cluster's devices.
     """
 
-    uav_positions: np.ndarray
+    head_distances: np.ndarray
     serving_distances: np.ndarray
-
-    def __post_init__(self):
-        if not np.allclose(self.uav_positions[0], 0.0):
-            raise ValueError("typical cluster head must sit at the origin")
 
 
 def sample_topology(params: NetworkParams, rng: np.random.Generator) -> Topology:
@@ -94,9 +96,9 @@ def sample_topology(params: NetworkParams, rng: np.random.Generator) -> Topology
     ``params.n_devices`` devices are placed (uniform on its disk): the
     interference field re-samples its transmitters every round.
     """
-    interferers = sample_ppp(params.lam, params.window_radius, rng)
-    positions = np.vstack((np.zeros((1, 2)), interferers))
-    devices = sample_cluster(positions[0], params.n_devices, params.cluster_radius, rng)
+    heads = sample_ppp(params.lam, params.window_radius, rng)
+    devices = sample_cluster(np.zeros(2), params.n_devices, params.cluster_radius, rng)
     return Topology(
-        uav_positions=positions, serving_distances=np.linalg.norm(devices, axis=1)
+        head_distances=np.linalg.norm(heads, axis=1),
+        serving_distances=np.linalg.norm(devices, axis=1),
     )

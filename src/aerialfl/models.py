@@ -26,8 +26,6 @@ class Model:
     """A differentiable classifier over flat parameters."""
 
     name: str
-    n_features: int
-    n_classes: int
     n_params: int
     init: "callable"
     loss_and_grad: "callable"
@@ -93,8 +91,6 @@ def _dense(name: str, widths: Sequence[int]) -> Model:
 
     return Model(
         name=name,
-        n_features=widths[0],
-        n_classes=widths[-1],
         n_params=n_params,
         init=init,
         loss_and_grad=loss_and_grad,

@@ -351,9 +351,8 @@ def realize_round(
         raise ValueError("schedule must index devices of the typical cluster")
     r = topology.serving_distances[schedule]
     serving_los = _draw_los(r, params, rng)
-    interferer_q = np.linalg.norm(topology.uav_positions[1:], axis=1)
-    radii = np.tile(interferer_q, n)
-    owner = np.repeat(np.arange(n), interferer_q.size)
+    radii = np.tile(topology.head_distances, n)
+    owner = np.repeat(np.arange(n), topology.head_distances.size)
     dl_ok, ul_ok = _link_success(r, serving_los, radii, owner, params, rng)
     return RoundChannel(
         device_ids=schedule.copy(),

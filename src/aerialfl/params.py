@@ -34,20 +34,25 @@ def require_integers(obj, *names: str) -> None:
             raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
-def require_reals(obj, *names: str) -> None:
-    """Raise ``ValueError`` unless each named field of ``obj`` is real.
+def is_real(value) -> bool:
+    """True for a finite ``int`` or ``float`` that is not a ``bool``.
 
-    A real setting is a finite ``int`` or ``float`` that is not a ``bool``,
-    so that ``True`` is not read as 1 and NaN or infinity never reaches a
-    comparison that it would silently pass.
+    Real settings use this one rule, so that ``True`` is not read as 1, a
+    string such as ``"45"`` is not converted, and NaN or infinity never
+    reaches a comparison that it would silently pass.
     """
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def require_reals(obj, *names: str) -> None:
+    """Raise ``ValueError`` unless each named field of ``obj`` is real."""
     for name in names:
         value = getattr(obj, name)
-        if (
-            not isinstance(value, (int, float))
-            or isinstance(value, bool)
-            or not math.isfinite(value)
-        ):
+        if not is_real(value):
             raise ValueError(f"{name} must be a finite real number, not {value!r}")
 
 

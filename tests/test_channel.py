@@ -102,6 +102,13 @@ def test_gamma_ccdf_exact_against_scipy(m):
     np.testing.assert_allclose(gamma_ccdf_exact(m, x), oracle, atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [True, 3.0, 0])
+def test_gamma_ccdf_exact_rejects_non_integer_m(bad):
+    # True used to be read as m = 1.
+    with pytest.raises(ValueError, match="positive integer"):
+        gamma_ccdf_exact(bad, 1.0)
+
+
 def test_alzer_bound_properties():
     # m = 1 with eta(1) = 1 is exact (Rayleigh power).
     x = np.linspace(0.0, 8.0, 30)

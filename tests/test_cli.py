@@ -407,6 +407,59 @@ def test_empty_sweep_is_rejected(tmp_path, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("bad", [True, "45", math.nan])
+@pytest.mark.parametrize("command", ["coverage", "validate", "sweep-height", "env-compare"])
+def test_height_sweep_rejects_non_real_heights(tmp_path, command, bad):
+    # ``float(h)`` used to turn True into a 1 m height and "45" into 45 m.
+    config = _write_config(
+        tmp_path / "cfg.yaml",
+        {"sweep": {"values": [45.0, bad]}, "trials": 0, "train": {"rounds": 0},
+         "network": SMALL_NETWORK, **SMALL_DATA},
+    )
+    with pytest.raises(SystemExit, match="height values must be finite real") as excinfo:
+        main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert repr(bad) in str(excinfo.value)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "aggregators,message", [([], "at least one aggregator"), ("joint", "must be a list")]
+)
+def test_aggregators_must_be_a_non_empty_list(tmp_path, aggregators, message):
+    # [] used to write a header-only CSV and exit 0; "joint" was read
+    # letter by letter.
+    config = _write_config(
+        tmp_path / "cfg.yaml",
+        {"aggregators": aggregators, "network": SMALL_NETWORK, **SMALL_DATA},
+    )
+    with pytest.raises(SystemExit, match=message):
+        main(["train", "--config", str(config), "--rounds", "0",
+              "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_is_a_config_error(tmp_path, capfd):
+    # A negative seed used to fail every row or aggregator, one note each.
+    out = tmp_path / "out"
+    coverage = _write_config(tmp_path / "coverage.yaml", {"sweep": {"values": [60.0]}})
+    assert main(["coverage", "--config", str(coverage), "--seed", "-1",
+                 "--trials", "10", "--out", str(out)]) == 2
+    assert "seed must be non-negative" in capfd.readouterr().err
+    training = _write_config(
+        tmp_path / "train.yaml", {"seed": -1, "network": SMALL_NETWORK, **SMALL_DATA}
+    )
+    assert main(["train", "--config", str(training), "--rounds", "0",
+                 "--out", str(out)]) == 2
+    assert "seed must be non-negative" in capfd.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_dataset_seed_is_rejected():
+    cfg = load_config(None, build_parser().parse_args(["train"]))
+    with pytest.raises(ValueError, match="dataset_seed must be non-negative"):
+        dataclasses.replace(cfg, dataset_seed=-1)
+
+
 @pytest.mark.parametrize("bad", [2.5, 2.0, "2", True, 0])
 def test_epoch_sweep_rejects_non_integer_epochs(tmp_path, bad):
     # E=2.5 used to train E=2 and write "2" while the hash recorded 2.5.

@@ -49,8 +49,6 @@ def _squared_loss_model():
 
     return Model(
         name="squared",
-        n_features=1,
-        n_classes=1,
         n_params=1,
         init=lambda rng=None: np.zeros(1),
         loss_and_grad=loss_and_grad,
@@ -166,8 +164,6 @@ def test_local_update_nonfinite_gradient_names_device(rng):
 
     model = Model(
         name="bad",
-        n_features=1,
-        n_classes=1,
         n_params=1,
         init=lambda rng=None: np.zeros(1),
         loss_and_grad=bad_loss,
@@ -195,12 +191,6 @@ def test_aggregate_worked_example():
     out = aggregate(state, updates, channel, profiles, 1.0, p, AggregatorKind.JOINT)
     assert out.weights[0] == pytest.approx(2.0, abs=1e-15)
     assert out.round == 1
-    # ModelState updates behave exactly like raw arrays.
-    wrapped = {
-        k: ModelState(weights=v, round=0) for k, v in updates.items()
-    }
-    again = aggregate(state, wrapped, channel, profiles, 1.0, p, AggregatorKind.JOINT)
-    assert again.weights[0] == out.weights[0]
 
 
 def test_aggregate_recovers_plain_average_when_reliable():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from aerialfl import NetworkParams, Topology, sample_topology
+from aerialfl import NetworkParams, sample_topology
 from aerialfl.geometry import (
     arc_distance_pdf,
     sample_cluster,
@@ -129,19 +129,12 @@ def test_conditional_distance_pdf_reduces_to_disk_at_origin():
 def test_topology_pins_typical_head_to_origin(rng):
     params = NetworkParams(n_devices=5, n_resource_blocks=4)
     topology = sample_topology(params, rng)
-    assert np.allclose(topology.uav_positions[0], 0.0)
-    assert topology.uav_positions.ndim == 2 and topology.uav_positions.shape[1] == 2
+    assert topology.head_distances.ndim == 1
+    assert np.all(topology.head_distances >= 0.0)
+    assert np.all(topology.head_distances <= params.window_radius)
     assert topology.serving_distances.shape == (5,)
     assert np.all(topology.serving_distances >= 0.0)
     assert np.all(topology.serving_distances <= params.cluster_radius + 1e-9)
-
-
-def test_topology_rejects_off_origin_head():
-    with pytest.raises(ValueError):
-        Topology(
-            uav_positions=np.array([[1.0, 0.0]]),
-            serving_distances=np.zeros(3),
-        )
 
 
 def test_serving_distances_are_the_draw_after_the_ppp():
@@ -153,7 +146,9 @@ def test_serving_distances_are_the_draw_after_the_ppp():
     rng = np.random.default_rng(11)
     heads = sample_ppp(params.lam, params.window_radius, rng)
     devices = sample_cluster(np.zeros(2), params.n_devices, params.cluster_radius, rng)
-    np.testing.assert_array_equal(topology.uav_positions[1:], heads)
+    np.testing.assert_array_equal(
+        topology.head_distances, np.linalg.norm(heads, axis=1)
+    )
     np.testing.assert_array_equal(
         topology.serving_distances, np.linalg.norm(devices, axis=1)
     )
@@ -163,5 +158,5 @@ def test_sample_topology_is_deterministic():
     params = NetworkParams(n_devices=4, n_resource_blocks=3)
     a = sample_topology(params, np.random.default_rng(7))
     b = sample_topology(params, np.random.default_rng(7))
-    np.testing.assert_array_equal(a.uav_positions, b.uav_positions)
+    np.testing.assert_array_equal(a.head_distances, b.head_distances)
     np.testing.assert_array_equal(a.serving_distances, b.serving_distances)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from aerialfl.analytic import laplace_arguments, laplace_ul
 from aerialfl.channel import Direction, LinkType, build_gain_pattern, los_probability
-from aerialfl.geometry import sample_topology
+from aerialfl.geometry import Topology, sample_topology
 from aerialfl.params import db_to_linear
 from aerialfl.montecarlo import (
     _BATCH,
@@ -403,6 +403,27 @@ def test_realize_round_deterministic_and_aligned(table_params):
     np.testing.assert_array_equal(
         first.joint_success, first.dl_success & first.ul_success
     )
+
+
+def test_realize_round_without_interferers_is_decided_by_noise(table_params):
+    # An empty PPP sample: every link's SINR is its SNR, drawn as the
+    # serving LOS classes, then the DL and the UL desired-link fading.
+    r = np.linspace(0.0, table_params.cluster_radius, 40)
+    topology = Topology(head_distances=np.empty(0), serving_distances=r)
+    schedule = np.arange(r.size)
+    channel = realize_round(topology, schedule, table_params, np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    los = _draw_los(r, table_params, rng)
+    alpha = np.where(los, table_params.alpha_los, table_params.alpha_nlos)
+    m = np.where(los, table_params.m_los, table_params.m_nlos)
+    path = (r**2 + table_params.height**2) ** (-alpha / 2.0)
+    for tx_power, tau, success in (
+        (table_params.p_uav, table_params.tau_dl, channel.dl_success),
+        (table_params.p_device, table_params.tau_ul, channel.ul_success),
+    ):
+        fading = rng.standard_gamma(m) / m
+        snr = tx_power * table_params.g0 * fading * path / table_params.noise_power
+        np.testing.assert_array_equal(success, snr > tau)
 
 
 @pytest.mark.parametrize("bad", [True, 2.5, 2048.0, np.float64(3.0)])
